@@ -15,12 +15,12 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
-from .solver import Classic, Identity, NullspaceGuided, SolverConfig, WeightScheme, solve
+from .solver import SCHEMES, SolverConfig, WeightScheme, solve
 
 __all__ = [
     "ProblemSpec",
@@ -40,9 +40,6 @@ __all__ = [
     "RESULT_COLUMNS",
     "SUMMARY_COLUMNS",
 ]
-
-_SCHEME_NAMES = ("identity", "classic", "nullspace")
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -88,8 +85,8 @@ class SchemeCell:
     eps: float = 1e-4
 
     def __post_init__(self):
-        if self.scheme not in _SCHEME_NAMES:
-            raise ValueError(f"scheme must be one of {_SCHEME_NAMES}, got {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         for name in ("q", "eps"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -99,11 +96,7 @@ class SchemeCell:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
     def to_weight_scheme(self) -> WeightScheme:
-        if self.scheme == "identity":
-            return Identity()
-        if self.scheme == "classic":
-            return Classic(q=self.q, eps=self.eps)
-        return NullspaceGuided(q=self.q, eps=self.eps)
+        return SCHEMES[self.scheme](self.q, self.eps)
 
 
 @dataclass(frozen=True)
@@ -177,6 +170,13 @@ class CellSummary:
 @dataclass
 class SummaryStats:
     cells: list[CellSummary]
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(TrialResult))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(CellSummary))
+
+# Each gets ``_mean``, ``_min`` and ``_max`` columns in ``CellSummary``.
+_SUMMARY_METRICS = ("sparsity", "residual", "err2", "errinf", "seconds")
 
 
 def generate_problem(spec: ProblemSpec) -> GeneratedProblem:
@@ -272,17 +272,14 @@ def summarize(results: Sequence[TrialResult]) -> SummaryStats:
     for r in results:
         groups.setdefault((r.m, r.n, r.k, r.noise_sigma, r.scheme, r.q), []).append(r)
 
-    def stats(values: list[float]) -> tuple[float, float, float]:
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.min()), float(arr.max())
-
     cells = []
     for (m, n, k, sigma, scheme, q), rows in groups.items():
-        sp = stats([r.sparsity for r in rows])
-        res = stats([r.residual for r in rows])
-        e2 = stats([r.err2 for r in rows])
-        ei = stats([r.errinf for r in rows])
-        sec = stats([r.seconds for r in rows])
+        stats = {}
+        for metric in _SUMMARY_METRICS:
+            arr = np.asarray([getattr(r, metric) for r in rows], dtype=float)
+            stats[f"{metric}_mean"] = float(arr.mean())
+            stats[f"{metric}_min"] = float(arr.min())
+            stats[f"{metric}_max"] = float(arr.max())
         cells.append(
             CellSummary(
                 m=m,
@@ -292,69 +289,11 @@ def summarize(results: Sequence[TrialResult]) -> SummaryStats:
                 scheme=scheme,
                 q=q,
                 trials=len(rows),
-                sparsity_mean=sp[0],
-                sparsity_min=sp[1],
-                sparsity_max=sp[2],
-                residual_mean=res[0],
-                residual_min=res[1],
-                residual_max=res[2],
-                err2_mean=e2[0],
-                err2_min=e2[1],
-                err2_max=e2[2],
-                errinf_mean=ei[0],
-                errinf_min=ei[1],
-                errinf_max=ei[2],
-                seconds_mean=sec[0],
-                seconds_min=sec[1],
-                seconds_max=sec[2],
+                **stats,
                 support_rate=sum(r.support_match for r in rows) / len(rows),
             )
         )
     return SummaryStats(cells=cells)
-
-
-RESULT_COLUMNS = (
-    "m",
-    "n",
-    "k",
-    "noise_sigma",
-    "seed",
-    "scheme",
-    "q",
-    "sample",
-    "sparsity",
-    "residual",
-    "err2",
-    "errinf",
-    "seconds",
-    "converged",
-)
-
-SUMMARY_COLUMNS = (
-    "m",
-    "n",
-    "k",
-    "noise_sigma",
-    "scheme",
-    "q",
-    "trials",
-    "sparsity_mean",
-    "sparsity_min",
-    "sparsity_max",
-    "residual_mean",
-    "residual_min",
-    "residual_max",
-    "err2_mean",
-    "err2_min",
-    "err2_max",
-    "errinf_mean",
-    "errinf_min",
-    "errinf_max",
-    "seconds_mean",
-    "seconds_min",
-    "seconds_max",
-    "support_rate",
-)
 
 
 def _cell_text(value) -> str:
@@ -382,13 +321,13 @@ def _emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, path) -> No
 
 def emit_results(results: Sequence[TrialResult], fmt: str, path) -> None:
     """Write raw trial rows as CSV or JSON with round-trip float precision."""
-    rows = [{c: getattr(r, c) for c in RESULT_COLUMNS} for r in results]
+    rows = [asdict(r) for r in results]
     _emit_rows(rows, RESULT_COLUMNS, fmt, path)
 
 
 def emit_summary(stats: SummaryStats, fmt: str, path) -> None:
     """Write per-cell summary rows as CSV or JSON."""
-    rows = [{c: getattr(cell, c) for c in SUMMARY_COLUMNS} for cell in stats.cells]
+    rows = [asdict(cell) for cell in stats.cells]
     _emit_rows(rows, SUMMARY_COLUMNS, fmt, path)
 
 

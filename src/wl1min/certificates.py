@@ -546,6 +546,19 @@ def ric_bound_plain_order_infimum(gamma: Fraction, k_start: int) -> tuple[float,
 _PIVOT_TOL = 1e-9
 
 
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Pivot on ``tableau[row, col]``: column ``col`` enters the basis at ``row``.
+
+    Rows whose coefficient in ``col`` is already zero are skipped rather
+    than reduced by ``0 * pivot row``, which could flip the sign of a zero.
+    """
+    tableau[row] /= tableau[row, col]
+    for i in range(tableau.shape[0]):
+        if i != row and tableau[i, col] != 0.0:
+            tableau[i] -= tableau[i, col] * tableau[row]
+    basis[row] = col
+
+
 def _pivot_loop(tableau: np.ndarray, basis: list[int], ncols: int, max_pivots: int) -> None:
     """Run simplex pivots under Bland's rule until optimality.
 
@@ -579,12 +592,7 @@ def _pivot_loop(tableau: np.ndarray, basis: list[int], ncols: int, max_pivots: i
                     leaving = i
         if leaving < 0:
             raise RuntimeError("LP is unbounded; the weighted l1 objective cannot be")
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        basis[leaving] = entering
+        _pivot(tableau, basis, leaving, entering)
     raise RuntimeError(f"simplex did not terminate within {max_pivots} pivots")
 
 
@@ -623,12 +631,7 @@ def _simplex_solve(a: np.ndarray, rhs: np.ndarray, costs: np.ndarray) -> np.ndar
                 break
         if entering < 0:
             continue  # redundant constraint
-        pivot = tableau[i, entering]
-        tableau[i] /= pivot
-        for r in range(m + 1):
-            if r != i and tableau[r, entering] != 0.0:
-                tableau[r] -= tableau[r, entering] * tableau[i]
-        basis[i] = entering
+        _pivot(tableau, basis, i, entering)
         keep_rows.append(i)
 
     rows = keep_rows + [m]

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,8 +63,6 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
         return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"unserializable {type(obj).__name__}")
 
 
@@ -95,12 +93,8 @@ def _load_weights(args, n: int):
 
 
 def _make_scheme(args, n: int) -> solver.WeightScheme:
-    if args.scheme == "identity":
-        return solver.Identity()
-    if args.scheme == "classic":
-        return solver.Classic(q=args.q, eps=args.eps)
-    if args.scheme == "nullspace":
-        return solver.NullspaceGuided(q=args.q, eps=args.eps)
+    if args.scheme in solver.SCHEMES:
+        return solver.SCHEMES[args.scheme](args.q, args.eps)
     weights = _load_weights(args, n)
     if weights is None:
         raise ValueError("--scheme fixed requires --weights or --weights-file")
@@ -113,18 +107,7 @@ def _report_payload(report: solver.SolveReport) -> dict:
         "converged": report.converged,
         "total_seconds": report.total_seconds,
         "objective_history": report.objective_history,
-        "stages": [
-            {
-                "stage": s.stage,
-                "mu": s.mu,
-                "inner_iterations": s.inner_iterations,
-                "final_step_norm": s.final_step_norm,
-                "converged": s.converged,
-                "support_size": s.support_size,
-                "weights": s.weights,
-            }
-            for s in report.stages
-        ],
+        "stages": [asdict(s) for s in report.stages],
     }
 
 
@@ -157,17 +140,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _nsp_payload(report: certificates.NspReport) -> dict:
-    return {
-        "holds": report.holds,
-        "order": report.order,
-        "vacuous": report.vacuous,
-        "worst_margin": report.worst_margin,
-        "witness_vertex": report.witness_vertex,
-        "witness_set": report.witness_set,
-    }
-
-
 def _print_nsp(label: str, report: certificates.NspReport) -> None:
     if report.vacuous:
         print(f"{label} order {report.order}: holds vacuously (trivial kernel)")
@@ -187,11 +159,11 @@ def cmd_certify(args) -> int:
     phi = linops.read_matrix(args.matrix)
     weights = _load_weights(args, phi.shape[1])
     nsp = certificates.check_nsp(phi, args.k, max_zero_sets=args.cap)
-    payload: dict = {"k": args.k, "nsp": _nsp_payload(nsp)}
+    payload: dict = {"k": args.k, "nsp": asdict(nsp)}
     wnsp = None
     if weights is not None:
         wnsp = certificates.check_wnsp(phi, weights, args.k, max_zero_sets=args.cap)
-        payload["wnsp"] = _nsp_payload(wnsp)
+        payload["wnsp"] = asdict(wnsp)
     if nsp.vacuous:
         if args.json:
             _emit_json(payload)
@@ -214,19 +186,8 @@ def cmd_certify(args) -> int:
     interval = certificates.downweight_interval(
         phi, args.k, ric_budget=ric_budget, max_zero_sets=args.cap
     )
-    payload["dominant_support"] = {
-        "support": dom.support,
-        "vertex": dom.vertex,
-        "mass": dom.mass,
-        "runner_up_mass": dom.runner_up_mass,
-        "unique": dom.unique,
-    }
-    payload["interval"] = {
-        "lo": interval.lo,
-        "hi_nullspace": interval.hi_nullspace,
-        "hi_ric": interval.hi_ric,
-        "feasible": interval.feasible,
-    }
+    payload["dominant_support"] = asdict(dom)
+    payload["interval"] = asdict(interval)
     if ric_budget is not None:
         payload["ric_budget"] = {"a": ric_budget[0], "delta": ric_budget[1]}
 
@@ -261,12 +222,12 @@ def cmd_certify(args) -> int:
 def cmd_ric(args) -> int:
     phi = linops.read_matrix(args.matrix)
     ric = certificates.compute_ric(phi, args.k, max_subsets=args.cap)
-    payload: dict = {"ric": {"order": ric.order, "value": ric.value, "attaining": ric.attaining}}
+    payload: dict = {"ric": asdict(ric)}
     roc = None
     if args.roc is not None:
         k1, k2 = args.roc
         roc = certificates.compute_roc(phi, k1, k2, max_pairs=args.cap)
-        payload["roc"] = {"orders": roc.orders, "value": roc.value, "attaining": roc.attaining}
+        payload["roc"] = asdict(roc)
     if args.json:
         _emit_json(payload)
         return EXIT_OK
@@ -440,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs", help="measurement vector file")
     p.add_argument(
         "--scheme",
-        choices=("identity", "classic", "nullspace", "fixed"),
+        choices=(*solver.SCHEMES, "fixed"),
         default="nullspace",
     )
     p.add_argument("--q", type=float, default=0.5, help="reweighting exponent")

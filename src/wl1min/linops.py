@@ -1,4 +1,4 @@
-"""Dense linear-algebra and combinatorial primitives.
+"""Dense linear-algebra primitives.
 
 Matrices are 2-d float64 numpy arrays (row major), vectors are 1-d arrays,
 index sets are strictly increasing tuples of 0-based column indices, and a
@@ -13,10 +13,9 @@ stored as single-column matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,12 +23,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "as_index_set",
-    "matvec",
     "largest_gram_eigenvalue",
-    "spectral_norm",
     "kernel_basis",
-    "column_submatrix",
-    "subsets",
     "read_matrix",
     "write_matrix",
     "read_vector",
@@ -70,15 +65,6 @@ def as_index_set(indices: Iterable[int], ambient: int) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"index set must be strictly increasing, got {idx}")
     return idx
-
-
-def matvec(a, x) -> np.ndarray:
-    """Dense matrix-vector product ``a @ x`` with dimension checking."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape}, vector has {x.shape[0]} entries")
-    return a @ x
 
 
 def _power_run(a: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
@@ -134,11 +120,6 @@ def largest_gram_eigenvalue(a, *, rayleigh_tol: float = 1e-12, max_iter: int = 1
     return lam
 
 
-def spectral_norm(a, *, rayleigh_tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest singular value of ``a``, via the Gram eigenvalue."""
-    return math.sqrt(largest_gram_eigenvalue(a, rayleigh_tol=rayleigh_tol, max_iter=max_iter))
-
-
 def kernel_basis(a) -> np.ndarray:
     """Orthonormal basis of the null space ``{x : a @ x = 0}``.
 
@@ -153,20 +134,6 @@ def kernel_basis(a) -> np.ndarray:
     tol = 1e-10 * smax * max(m, n)
     rank = int(np.count_nonzero(s > tol))
     return vh[rank:].T.copy()
-
-
-def column_submatrix(a, indices) -> np.ndarray:
-    """Columns of ``a`` selected by a strictly increasing index set."""
-    a = as_matrix(a)
-    idx = as_index_set(indices, a.shape[1])
-    return a[:, list(idx)].copy()
-
-
-def subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-element subsets of ``range(n)`` in lexicographic order."""
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return iter(itertools.combinations(range(n), k))
 
 
 def _parse_header(line: str, path) -> tuple[int, int]:

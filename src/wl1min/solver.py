@@ -17,8 +17,8 @@ The final stage's iterate is the solver's answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "NullspaceGuided",
     "Fixed",
     "WeightScheme",
+    "SCHEMES",
     "SolverConfig",
     "StageDiagnostics",
     "SolveReport",
@@ -100,6 +101,14 @@ class Fixed:
 
 
 WeightScheme = Union[Identity, Classic, NullspaceGuided, Fixed]
+
+# The schemes a name selects, built from an exponent ``q`` and smoothing
+# ``eps``; ``Fixed`` needs a weight vector, so it has no name here.
+SCHEMES: dict[str, Callable[[float, float], WeightScheme]] = {
+    "identity": lambda q, eps: Identity(),
+    "classic": Classic,
+    "nullspace": NullspaceGuided,
+}
 
 
 @dataclass(frozen=True)
@@ -347,6 +356,8 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
             )
         )
         objective_history.append(inner.objectives)
+        if tau == config.stages:
+            break  # no stage is left to use updated weights
         if isinstance(scheme, NullspaceGuided):
             weights = update_weights_nullspace(x_prev, x, scheme.q, scheme.eps)
         elif isinstance(scheme, Classic):

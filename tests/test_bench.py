@@ -241,6 +241,21 @@ class TestEmission:
         rate = float(dict(zip(SUMMARY_COLUMNS, rows[1]))["support_rate"])
         assert 0.0 <= rate <= 1.0
 
+    def test_support_rate_recomputes_from_results_rows(self, tmp_path):
+        results = run_experiment(_small_grid())
+        emit_results(results, "csv", tmp_path / "results.csv")
+        emit_summary(summarize(results), "csv", tmp_path / "summary.csv")
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert len(cells) == 2
+        for cell in cells:
+            key = (cell["scheme"], cell["q"])
+            matches = [r["support_match"] == "true" for r in rows if (r["scheme"], r["q"]) == key]
+            assert len(matches) == int(cell["trials"])
+            assert float(cell["support_rate"]) == sum(matches) / len(matches)
+
     def test_empty_results_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_results([], "csv", path)

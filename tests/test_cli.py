@@ -46,6 +46,13 @@ class TestSolveCommand:
         assert payload["residual"] <= 1e-4
         assert len(payload["stages"]) == 8
         assert payload["stages"][0]["stage"] == 1
+        assert list(payload) == [
+            "x", "converged", "total_seconds", "objective_history", "stages", "residual"
+        ]
+        assert list(payload["stages"][0]) == [
+            "stage", "mu", "inner_iterations", "final_step_norm", "converged",
+            "support_size", "weights",
+        ]
 
     def test_out_file(self, ex1_paths, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -122,6 +129,21 @@ class TestCertifyCommand:
         assert code == 0
         assert "WNSP order 1: holds" in out
 
+    def test_json_key_order(self, ex1_paths, capsys):
+        code = main(["certify", ex1_paths[0], "-k", "1", "--weights", "1,1,0.7",
+                     "--ric-budget", "2", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        nsp_keys = ["holds", "order", "vacuous", "worst_margin", "witness_vertex", "witness_set"]
+        assert list(payload) == ["k", "nsp", "wnsp", "dominant_support", "interval", "ric_budget"]
+        assert list(payload["nsp"]) == nsp_keys
+        assert list(payload["wnsp"]) == nsp_keys
+        assert list(payload["dominant_support"]) == [
+            "support", "vertex", "mass", "runner_up_mass", "unique"
+        ]
+        assert list(payload["interval"]) == ["lo", "hi_nullspace", "hi_ric", "feasible"]
+        assert list(payload["ric_budget"]) == ["a", "delta"]
+
     def test_trivial_kernel_vacuous(self, tmp_path, capsys):
         path = tmp_path / "square.txt"
         write_matrix(path, np.array([[2.0, 1.0], [0.0, 1.0]]))
@@ -172,6 +194,10 @@ class TestRicCommand:
         assert payload["ric"]["value"] == pytest.approx(0.9224154027718933, rel=1e-12)
         assert payload["ric"]["attaining"] == [0, 2]
         assert payload["roc"]["value"] == pytest.approx(0.24, rel=1e-12)
+        assert list(payload) == ["ric", "roc"]
+        assert list(payload["ric"]) == ["order", "value", "attaining"]
+        assert list(payload["roc"]) == ["orders", "value", "attaining"]
+        assert payload["roc"]["attaining"] == [[0], [2]]
 
     def test_cap_refusal(self, ex2_paths, capsys):
         code = main(["ric", ex2_paths[0], "-k", "2", "--cap", "5"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wl1min import solver as solver_module
 from wl1min import (
     Classic,
     Fixed,
@@ -326,6 +327,25 @@ class TestSolve:
     def test_unknown_scheme_rejected(self, ex1_phi, ex1_b):
         with pytest.raises(TypeError):
             solve(ex1_phi, ex1_b, "nullspace")
+
+    @pytest.mark.parametrize(
+        "scheme, update",
+        [(NullspaceGuided(), "update_weights_nullspace"), (Classic(), "update_weights_classic")],
+    )
+    def test_one_weight_update_between_consecutive_stages(
+        self, ex1_phi, ex1_b, monkeypatch, scheme, update
+    ):
+        original = getattr(solver_module, update)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver_module, update, counted)
+        report = solve(ex1_phi, ex1_b, scheme, SolverConfig(stages=8))
+        assert len(report.stages) == 8
+        assert len(calls) == 7
 
     def test_nonconvergence_reported_not_raised(self, ex1_phi, ex1_b):
         report = solve(ex1_phi, ex1_b, Identity(), SolverConfig(inner_cap=1))
