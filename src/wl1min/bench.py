@@ -29,7 +29,6 @@ __all__ = [
     "ExperimentGrid",
     "TrialResult",
     "CellSummary",
-    "SummaryStats",
     "generate_problem",
     "trial_seed",
     "run_experiment",
@@ -94,6 +93,7 @@ class SchemeCell:
             object.__setattr__(self, name, float(value))
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        self.to_weight_scheme()  # the scheme rejects its own out-of-range q
 
     def to_weight_scheme(self) -> WeightScheme:
         return SCHEMES[self.scheme](self.q, self.eps)
@@ -130,6 +130,7 @@ class TrialResult:
     seed: int
     scheme: str
     q: float
+    eps: float
     sample: int
     sparsity: int
     residual: float
@@ -148,6 +149,7 @@ class CellSummary:
     noise_sigma: float
     scheme: str
     q: float
+    eps: float
     trials: int
     sparsity_mean: float
     sparsity_min: float
@@ -165,11 +167,6 @@ class CellSummary:
     seconds_min: float
     seconds_max: float
     support_rate: float
-
-
-@dataclass
-class SummaryStats:
-    cells: list[CellSummary]
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(TrialResult))
@@ -226,6 +223,7 @@ def _run_trial(args: tuple[ProblemSpec, SchemeCell, int, int, SolverConfig]) -> 
         seed=seed,
         scheme=cell.scheme,
         q=cell.q,
+        eps=cell.eps,
         sample=sample,
         sparsity=int(recovered_support.size),
         residual=residual,
@@ -264,16 +262,16 @@ def run_experiment(
         return list(pool.map(_run_trial, tasks))
 
 
-def summarize(results: Sequence[TrialResult]) -> SummaryStats:
+def summarize(results: Sequence[TrialResult]) -> list[CellSummary]:
     """Per-cell mean/min/max of every metric plus the exact-support rate."""
     if not results:
         raise ValueError("no trial results to summarize")
     groups: dict[tuple, list[TrialResult]] = {}
     for r in results:
-        groups.setdefault((r.m, r.n, r.k, r.noise_sigma, r.scheme, r.q), []).append(r)
+        groups.setdefault((r.m, r.n, r.k, r.noise_sigma, r.scheme, r.q, r.eps), []).append(r)
 
     cells = []
-    for (m, n, k, sigma, scheme, q), rows in groups.items():
+    for (m, n, k, sigma, scheme, q, eps), rows in groups.items():
         stats = {}
         for metric in _SUMMARY_METRICS:
             arr = np.asarray([getattr(r, metric) for r in rows], dtype=float)
@@ -288,12 +286,13 @@ def summarize(results: Sequence[TrialResult]) -> SummaryStats:
                 noise_sigma=sigma,
                 scheme=scheme,
                 q=q,
+                eps=eps,
                 trials=len(rows),
                 **stats,
                 support_rate=sum(r.support_match for r in rows) / len(rows),
             )
         )
-    return SummaryStats(cells=cells)
+    return cells
 
 
 def _cell_text(value) -> str:
@@ -325,15 +324,15 @@ def emit_results(results: Sequence[TrialResult], fmt: str, path) -> None:
     _emit_rows(rows, RESULT_COLUMNS, fmt, path)
 
 
-def emit_summary(stats: SummaryStats, fmt: str, path) -> None:
+def emit_summary(cells: Sequence[CellSummary], fmt: str, path) -> None:
     """Write per-cell summary rows as CSV or JSON."""
-    rows = [asdict(cell) for cell in stats.cells]
+    rows = [asdict(cell) for cell in cells]
     _emit_rows(rows, SUMMARY_COLUMNS, fmt, path)
 
 
 _SPEC_KEYS = {"m", "n", "k", "noise_sigma"}
-_CELL_KEYS = {"scheme", "q", "eps"}
-_SOLVER_KEYS = {"stages", "mu_decay", "eta_factor", "inner_cap"}
+_CELL_KEYS = {f.name for f in fields(SchemeCell)}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
 _GRID_KEYS = {"specs", "cells", "samples", "base_seed", "solver"}
 
 

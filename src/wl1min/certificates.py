@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linops import as_index_set, as_matrix, as_vector, kernel_basis
+from .linops import as_matrix, as_vector, kernel_basis
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _DEDUPE_TOL = 1e-9
+# Masses within this of the dominant one make the dominant support not unique.
+_TIE_TOL = 1e-9
+# Candidates scored per batched eigen/singular-value call in compute_ric/roc.
+_CHUNK = 8192
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -77,7 +81,6 @@ class VertexSet:
     additional zeros recursively.
     """
 
-    ambient: int
     vertices: np.ndarray
     had_degenerate_zero_set: bool = False
 
@@ -183,7 +186,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         raise ValueError(f"basis must be 2-d, got shape {b.shape}")
     n, d = b.shape
     if d == 0:
-        return VertexSet(n, np.zeros((0, n)))
+        return VertexSet(np.zeros((0, n)))
     if d > n:
         raise ValueError(f"basis has more columns than rows: {b.shape}")
     required = math.comb(n, d - 1)
@@ -238,7 +241,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         if not any(float(np.max(np.abs(v - u))) <= _DEDUPE_TOL for u in unique):
             unique.append(v)
     half = np.array(unique)
-    return VertexSet(n, np.vstack([half, -half]), degenerate)
+    return VertexSet(np.vstack([half, -half]), degenerate)
 
 
 def _topk_masses(vertices: np.ndarray, k: int) -> np.ndarray:
@@ -315,9 +318,7 @@ def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport
     return replace(report, witness_vertex=h)
 
 
-def dominant_support(
-    phi, k: int, *, tie_tol: float = 1e-9, max_zero_sets: int = 10**6
-) -> DominantSupportReport:
+def dominant_support(phi, k: int, *, max_zero_sets: int = 10**6) -> DominantSupportReport:
     """Support of size ``k`` carrying the most l1 mass of any unit-l1 kernel
     vector, with the best mass any other support achieves.
 
@@ -333,37 +334,29 @@ def dominant_support(
         raise ValueError("trivial kernel: no nonzero null-space vectors exist")
     vertices = l1ball_section_vertices(basis, max_zero_sets=max_zero_sets).vertices
 
-    n = phi.shape[1]
-    best_mass = -1.0
-    best_vertex = None
-    best_support: tuple[int, ...] = ()
-    for v in vertices:
-        mass = float(np.sort(np.abs(v))[::-1][:k].sum())
-        if mass > best_mass:
-            best_mass = mass
-            best_vertex = v
-            best_support = _topk_set(v, k)
+    mags = np.abs(vertices)
+    order = np.argsort(-mags, axis=1, kind="stable")  # ties to the smaller index
+    ranked = np.take_along_axis(mags, order, axis=1)
+    masses = ranked[:, :k].sum(axis=1)
+    best = int(np.argmax(masses))  # the first of tied vertices wins
+    support = _topk_set(vertices[best], k)
 
-    runner_up = 0.0
-    for v in vertices:
-        mags = np.abs(v)
-        order = np.argsort(-mags, kind="stable")
-        top = tuple(sorted(int(i) for i in order[:k]))
-        mass = float(mags[order[:k]].sum())
-        if top != best_support:
-            candidate = mass
-        elif k < n:
-            candidate = mass - float(mags[order[k - 1]]) + float(mags[order[k]])
-        else:
-            continue  # the only support of size n is the dominant one
-        runner_up = max(runner_up, candidate)
+    # Rows whose own top-k set is the dominant support offer the swap instead.
+    dominant = np.all(np.sort(order[:, :k], axis=1) == support, axis=1)
+    if k < phi.shape[1]:
+        swapped = masses - ranked[:, k - 1] + ranked[:, k]
+        candidates = np.where(dominant, swapped, masses)
+    else:
+        candidates = masses[~dominant]  # the only support of size n is the dominant one
+    runner_up = float(candidates.max(initial=0.0))
+    mass = float(masses[best])
 
     return DominantSupportReport(
-        support=best_support,
-        vertex=best_vertex.copy(),
-        mass=best_mass,
+        support=support,
+        vertex=vertices[best].copy(),
+        mass=mass,
         runner_up_mass=runner_up,
-        unique=runner_up < best_mass - tie_tol,
+        unique=runner_up < mass - _TIE_TOL,
     )
 
 
@@ -400,16 +393,26 @@ def downweight_interval(
     )
 
 
-def _chunks(iterable, size: int):
-    it = iter(iterable)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
+def _best_candidate(candidates, score):
+    """``(value, candidate)`` of the highest-scoring candidate; the first of
+    tied candidates wins.
+
+    ``score`` maps a list of up to ``_CHUNK`` candidates to an array of their
+    values, so each block is scored in one batched call.
+    """
+    best = -1.0
+    best_candidate = None
+    it = iter(candidates)
+    while block := list(itertools.islice(it, _CHUNK)):
+        values = score(block)
+        local = int(np.argmax(values))
+        if float(values[local]) > best:
+            best = float(values[local])
+            best_candidate = block[local]
+    return best, best_candidate
 
 
-def compute_ric(phi, k: int, *, max_subsets: int = 10**6, chunk: int = 8192) -> RicValue:
+def compute_ric(phi, k: int, *, max_subsets: int = 10**6) -> RicValue:
     """Exact order-``k`` restricted isometry constant.
 
     Enumerates every size-``k`` column subset and takes the largest spectral
@@ -425,18 +428,14 @@ def compute_ric(phi, k: int, *, max_subsets: int = 10**6, chunk: int = 8192) -> 
         raise EnumerationCapExceeded(required, max_subsets, what=f"size-{k} column subsets")
     gram = phi.T @ phi
     eye = np.eye(k)
-    best = -1.0
-    best_set: tuple[int, ...] = ()
-    for block in _chunks(itertools.combinations(range(n), k), chunk):
+
+    def deviation(block):
         idx = np.array(block)
-        deviations = gram[idx[:, :, None], idx[:, None, :]] - eye
-        eigs = np.linalg.eigvalsh(deviations)
-        values = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-        local = int(np.argmax(values))
-        if float(values[local]) > best:
-            best = float(values[local])
-            best_set = tuple(block[local])
-    return RicValue(order=k, value=best, attaining=best_set)
+        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]] - eye)
+        return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+
+    value, attaining = _best_candidate(itertools.combinations(range(n), k), deviation)
+    return RicValue(order=k, value=value, attaining=attaining)
 
 
 def _disjoint_pairs(n: int, k1: int, k2: int):
@@ -447,7 +446,7 @@ def _disjoint_pairs(n: int, k1: int, k2: int):
             yield s1, s2
 
 
-def compute_roc(phi, k1: int, k2: int, *, max_pairs: int = 10**6, chunk: int = 8192) -> RocValue:
+def compute_roc(phi, k1: int, k2: int, *, max_pairs: int = 10**6) -> RocValue:
     """Exact restricted orthogonality constant for orders ``(k1, k2)``.
 
     Maximizes ``||phi_S1.T phi_S2||_2`` over disjoint supports: the tight
@@ -462,18 +461,14 @@ def compute_roc(phi, k1: int, k2: int, *, max_pairs: int = 10**6, chunk: int = 8
     if required > max_pairs:
         raise EnumerationCapExceeded(required, max_pairs, what="disjoint support pairs")
     gram = phi.T @ phi
-    best = -1.0
-    best_pair: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    for block in _chunks(_disjoint_pairs(n, k1, k2), chunk):
+
+    def coupling(block):
         idx1 = np.array([p[0] for p in block])
         idx2 = np.array([p[1] for p in block])
-        blocks = gram[idx1[:, :, None], idx2[:, None, :]]
-        values = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        local = int(np.argmax(values))
-        if float(values[local]) > best:
-            best = float(values[local])
-            best_pair = block[local]
-    return RocValue(orders=(k1, k2), value=best, attaining=best_pair)
+        return np.linalg.svd(gram[idx1[:, :, None], idx2[:, None, :]], compute_uv=False)[:, 0]
+
+    value, attaining = _best_candidate(_disjoint_pairs(n, k1, k2), coupling)
+    return RocValue(orders=(k1, k2), value=value, attaining=attaining)
 
 
 def ric_bound_scaled_order(a: float, gamma: float) -> float:
@@ -680,21 +675,12 @@ def l1_min_exact(phi, b, weights=None) -> np.ndarray:
     return z[:n] - z[n:]
 
 
-def recovery_trial(
-    phi,
-    weights,
-    k: int,
-    trials: int,
-    seed: int,
-    *,
-    support: tuple[int, ...] | None = None,
-) -> float:
+def recovery_trial(phi, weights, k: int, trials: int, seed: int) -> float:
     """Fraction of random ``k``-sparse vectors recovered exactly by the LP.
 
-    Each trial draws a uniformly random support of size ``k`` (or uses the
-    given one) with standard normal values, forms ``b = phi x``, solves the
-    weighted l1 program, and counts success at l-infinity error 1e-7.
-    Deterministic for a given seed.
+    Each trial draws a uniformly random support of size ``k`` with standard
+    normal values, forms ``b = phi x``, solves the weighted l1 program, and
+    counts success at l-infinity error 1e-7.  Deterministic for a given seed.
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
@@ -702,14 +688,10 @@ def recovery_trial(
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if support is not None:
-        support = as_index_set(support, n)
-        if len(support) != k:
-            raise ValueError(f"support has {len(support)} indices, expected {k}")
     rng = np.random.default_rng(seed)
     successes = 0
     for _ in range(trials):
-        idx = list(support) if support is not None else rng.choice(n, size=k, replace=False)
+        idx = rng.choice(n, size=k, replace=False)
         x = np.zeros(n)
         x[idx] = rng.standard_normal(k)
         recovered = l1_min_exact(phi, phi @ x, weights)

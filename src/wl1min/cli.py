@@ -164,32 +164,24 @@ def cmd_certify(args) -> int:
     if weights is not None:
         wnsp = certificates.check_wnsp(phi, weights, args.k, max_zero_sets=args.cap)
         payload["wnsp"] = asdict(wnsp)
-    if nsp.vacuous:
-        if args.json:
-            _emit_json(payload)
-        else:
-            _print_nsp("NSP", nsp)
-            if wnsp is not None:
-                _print_nsp("WNSP", wnsp)
-        return EXIT_OK
-
-    dom = certificates.dominant_support(phi, args.k, max_zero_sets=args.cap)
-    ric_budget = None
-    if args.ric_budget is not None:
-        a = args.ric_budget
-        order = a * args.k
-        rounded = round(order)
-        if abs(order - rounded) > 1e-9 or rounded < 1:
-            raise ValueError(f"--ric-budget {a} gives non-integral order a*k = {order}")
-        delta = certificates.compute_ric(phi, int(rounded), max_subsets=args.cap).value
-        ric_budget = (a, delta)
-    interval = certificates.downweight_interval(
-        phi, args.k, ric_budget=ric_budget, max_zero_sets=args.cap
-    )
-    payload["dominant_support"] = asdict(dom)
-    payload["interval"] = asdict(interval)
-    if ric_budget is not None:
-        payload["ric_budget"] = {"a": ric_budget[0], "delta": ric_budget[1]}
+    if not nsp.vacuous:
+        dom = certificates.dominant_support(phi, args.k, max_zero_sets=args.cap)
+        ric_budget = None
+        if args.ric_budget is not None:
+            a = args.ric_budget
+            order = a * args.k
+            rounded = round(order)
+            if abs(order - rounded) > 1e-9 or rounded < 1:
+                raise ValueError(f"--ric-budget {a} gives non-integral order a*k = {order}")
+            delta = certificates.compute_ric(phi, int(rounded), max_subsets=args.cap).value
+            ric_budget = (a, delta)
+        interval = certificates.downweight_interval(
+            phi, args.k, ric_budget=ric_budget, max_zero_sets=args.cap
+        )
+        payload["dominant_support"] = asdict(dom)
+        payload["interval"] = asdict(interval)
+        if ric_budget is not None:
+            payload["ric_budget"] = {"a": ric_budget[0], "delta": ric_budget[1]}
 
     if args.json:
         _emit_json(payload)
@@ -197,6 +189,8 @@ def cmd_certify(args) -> int:
     _print_nsp("NSP", nsp)
     if wnsp is not None:
         _print_nsp("WNSP", wnsp)
+    if nsp.vacuous:
+        return EXIT_OK
     print(
         f"dominant support T0 = {_fmt_indices(dom.support)}, "
         f"mass {_fmt_float(dom.mass)}, runner-up {_fmt_float(dom.runner_up_mass)}, "
@@ -360,17 +354,17 @@ def cmd_bench(args) -> int:
         grid = replace(grid, base_seed=args.seed)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     results = bench.run_experiment(grid, config, jobs=jobs)
-    stats = bench.summarize(results)
+    summary = bench.summarize(results)
     os.makedirs(args.out_dir, exist_ok=True)
     ext = args.format
     results_path = os.path.join(args.out_dir, f"results.{ext}")
     summary_path = os.path.join(args.out_dir, f"summary.{ext}")
     bench.emit_results(results, ext, results_path)
-    bench.emit_summary(stats, ext, summary_path)
-    for cell in stats.cells:
+    bench.emit_summary(summary, ext, summary_path)
+    for cell in summary:
         print(
             f"m={cell.m} n={cell.n} k={cell.k} sigma={_fmt_float(cell.noise_sigma)} "
-            f"{cell.scheme}(q={_fmt_float(cell.q)}): "
+            f"{cell.scheme}(q={_fmt_float(cell.q)}, eps={_fmt_float(cell.eps)}): "
             f"support rate {cell.support_rate:.2f}, "
             f"mean err2 {cell.err2_mean:.3e}, "
             f"mean seconds {cell.seconds_mean:.3f}"

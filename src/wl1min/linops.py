@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "as_matrix",
     "as_vector",
-    "as_index_set",
     "largest_gram_eigenvalue",
     "kernel_basis",
     "read_matrix",
@@ -56,42 +54,36 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def as_index_set(indices: Iterable[int], ambient: int) -> tuple[int, ...]:
-    """Validate a strictly increasing tuple of indices into ``range(ambient)``."""
-    idx = tuple(int(i) for i in indices)
-    for i in idx:
-        if not 0 <= i < ambient:
-            raise ValueError(f"index {i} out of range for ambient dimension {ambient}")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"index set must be strictly increasing, got {idx}")
-    return idx
+# Power-iteration stopping rule: relative Rayleigh-quotient change and cap.
+_RAYLEIGH_TOL = 1e-12
+_POWER_MAX_ITER = 10000
 
 
-def _power_run(a: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
+def _power_run(a: np.ndarray, v: np.ndarray):
     """One power-iteration run on ``a.T @ a`` from unit start ``v``.
 
     Returns ``(lam, converged, stationary, iterations)`` where ``lam`` is the
     final Rayleigh quotient (always a lower bound on the true eigenvalue),
-    ``converged`` reports whether the quotient settled within ``tol`` and
+    ``converged`` reports whether the quotient settled within the tolerance and
     ``stationary`` whether the eigen-residual is small at that point.
     """
     lam = -1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         u = a @ v
         lam_new = float(u @ u)
         if lam_new == 0.0:
             # The start vector is annihilated; nothing more to learn here.
             return 0.0, True, False, it
         w = a.T @ u
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+        if abs(lam_new - lam) <= _RAYLEIGH_TOL * max(1.0, lam_new):
             resid = float(np.linalg.norm(w - lam_new * v))
             return lam_new, True, resid <= 1e-6 * lam_new, it
         lam = lam_new
         v = w / float(np.linalg.norm(w))
-    return lam, False, False, max_iter
+    return lam, False, False, _POWER_MAX_ITER
 
 
-def largest_gram_eigenvalue(a, *, rayleigh_tol: float = 1e-12, max_iter: int = 10000) -> float:
+def largest_gram_eigenvalue(a) -> float:
     """Largest eigenvalue of ``a.T @ a`` by power iteration.
 
     Deterministic all-ones start.  If the Rayleigh quotient settles on a
@@ -103,16 +95,16 @@ def largest_gram_eigenvalue(a, *, rayleigh_tol: float = 1e-12, max_iter: int = 1
     a = as_matrix(a)
     n = a.shape[1]
     v0 = np.ones(n) / math.sqrt(n)
-    lam, converged, stationary, _ = _power_run(a, v0, rayleigh_tol, max_iter)
+    lam, converged, stationary, _ = _power_run(a, v0)
     if not (converged and stationary):
         rng = np.random.default_rng(0x5EED)
         v1 = rng.standard_normal(n)
         v1 /= float(np.linalg.norm(v1))
-        lam2, converged2, stationary2, _ = _power_run(a, v1, rayleigh_tol, max_iter)
+        lam2, converged2, stationary2, _ = _power_run(a, v1)
         lam = max(lam, lam2)
         if not (converged and converged2):
             warnings.warn(
-                f"power iteration did not converge within {max_iter} iterations; "
+                f"power iteration did not converge within {_POWER_MAX_ITER} iterations; "
                 f"returning the best (lower-bound) estimate {lam!r}",
                 RuntimeWarning,
                 stacklevel=2,

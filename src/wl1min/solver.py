@@ -111,23 +111,25 @@ SCHEMES: dict[str, Callable[[float, float], WeightScheme]] = {
 }
 
 
+# Multiplies the measured largest Gram eigenvalue so the ISTA step size stays
+# strictly inside the descent regime.
+_L_INFLATION = 1.0 + 1e-6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Continuation-loop parameters.
-
-    ``x0 = None`` means the all-ones start.  ``L_inflation`` multiplies the
-    measured largest Gram eigenvalue so the ISTA step size stays strictly
-    inside the descent regime.
-    """
+    """Continuation-loop parameters."""
 
     stages: int = 8
     mu_decay: float = 0.2
     eta_factor: float = 1e-4
     inner_cap: int = 5000
-    L_inflation: float = 1.0 + 1e-6
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("stages", "inner_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.stages < 1:
             raise ValueError(f"need at least one stage, got {self.stages}")
         if not 0.0 < self.mu_decay < 1.0:
@@ -136,10 +138,6 @@ class SolverConfig:
             raise ValueError(f"eta_factor must be positive, got {self.eta_factor}")
         if self.inner_cap < 1:
             raise ValueError(f"inner_cap must be positive, got {self.inner_cap}")
-        if self.L_inflation < 1.0:
-            raise ValueError(f"L_inflation must be >= 1, got {self.L_inflation}")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", as_vector(self.x0))
 
 
 @dataclass
@@ -203,11 +201,6 @@ def mu_schedule(phi, b, stages: int, decay: float) -> np.ndarray:
     return scale * decay ** np.arange(stages)
 
 
-def _objective(phi, b, weights, mu, x) -> float:
-    r = phi @ x - b
-    return 0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x)))
-
-
 def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     """Run ISTA at fixed penalty ``mu`` until the step norm drops below
     ``eta * max(1, ||x||)`` or ``cap`` iterations elapse.
@@ -236,13 +229,15 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
         raise ValueError(f"iteration cap must be positive, got {cap}")
 
     thresholds = (mu / L) * weights
-    objectives = [_objective(phi, b, weights, mu, x)]
+    # The residual of each iterate serves both its objective and the next gradient.
+    r = phi @ x - b
+    objectives = [0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x)))]
     step = float("nan")
     for it in range(1, cap + 1):
-        grad_point = x - (phi.T @ (phi @ x - b)) / L
-        x_next = soft_threshold(grad_point, thresholds)
+        x_next = soft_threshold(x - (phi.T @ r) / L, thresholds)
         step = float(np.linalg.norm(x_next - x))
-        objectives.append(_objective(phi, b, weights, mu, x_next))
+        r = phi @ x_next - b
+        objectives.append(0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x_next))))
         stop = step < eta * max(1.0, float(np.linalg.norm(x))) or step == 0.0
         x = x_next
         if stop:
@@ -315,21 +310,16 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
         raise TypeError(f"unknown weight scheme: {scheme!r}")
 
     t_start = time.perf_counter()
-    L = config.L_inflation * largest_gram_eigenvalue(phi)
+    L = _L_INFLATION * largest_gram_eigenvalue(phi)
     if L == 0.0:
         L = 1.0  # zero matrix: gradient vanishes, any positive step bound works
     mus = mu_schedule(phi, b, config.stages, config.mu_decay)
 
-    if config.x0 is None:
-        # The schedule scale vanishes only when phi^T b = 0, i.e. b carries no
-        # recoverable signal; every stage then has mu = 0 and the all-ones
-        # start would drift to its kernel projection instead of the exact
-        # answer 0, which is a fixed point of every stage.  Start there.
-        x = np.zeros(n) if mus[0] == 0.0 else np.ones(n)
-    else:
-        if config.x0.shape[0] != n:
-            raise ValueError(f"x0 has {config.x0.shape[0]} entries, expected {n}")
-        x = config.x0.copy()
+    # The schedule scale vanishes only when phi^T b = 0, i.e. b carries no
+    # recoverable signal; every stage then has mu = 0 and the all-ones start
+    # would drift to its kernel projection instead of the exact answer 0,
+    # which is a fixed point of every stage.  Start there.
+    x = np.zeros(n) if mus[0] == 0.0 else np.ones(n)
 
     if isinstance(scheme, Fixed):
         if scheme.weights.shape[0] != n:

@@ -60,6 +60,10 @@ class TestProblemSpecValidation:
             SchemeCell("unknown")
         with pytest.raises(ValueError):
             SchemeCell("classic", eps=0.0)
+        with pytest.raises(ValueError):
+            SchemeCell("classic", q=1.0)
+        with pytest.raises(ValueError):
+            SchemeCell("nullspace", q=0.0)
 
     def test_grid_validation(self):
         spec = ProblemSpec(m=4, n=8, k=1)
@@ -170,26 +174,25 @@ class TestSummarize:
     def _result(self, **overrides) -> TrialResult:
         base = dict(
             m=4, n=8, k=2, noise_sigma=0.0, seed=1, scheme="identity", q=0.5,
-            sample=0, sparsity=2, residual=1.0, err2=0.5, errinf=0.2,
+            eps=1e-4, sample=0, sparsity=2, residual=1.0, err2=0.5, errinf=0.2,
             seconds=0.1, converged=True, support_match=True,
         )
         base.update(overrides)
         return TrialResult(**base)
 
     def test_single_trial(self):
-        stats = summarize([self._result()])
-        assert len(stats.cells) == 1
-        cell = stats.cells[0]
+        cells = summarize([self._result()])
+        assert len(cells) == 1
+        cell = cells[0]
         assert cell.trials == 1
         assert cell.residual_mean == cell.residual_min == cell.residual_max == 1.0
         assert cell.support_rate == 1.0
 
     def test_mean_min_max(self):
-        stats = summarize([
+        (cell,) = summarize([
             self._result(sample=0, residual=1.0, support_match=True),
             self._result(sample=1, residual=3.0, support_match=False),
         ])
-        cell = stats.cells[0]
         assert cell.trials == 2
         assert cell.residual_mean == 2.0
         assert cell.residual_min == 1.0
@@ -197,14 +200,24 @@ class TestSummarize:
         assert cell.support_rate == 0.5
 
     def test_groups_by_cell(self):
-        stats = summarize([
+        cells = summarize([
             self._result(scheme="identity"),
             self._result(scheme="nullspace"),
             self._result(scheme="nullspace", sample=1),
         ])
-        by_scheme = {c.scheme: c for c in stats.cells}
+        by_scheme = {c.scheme: c for c in cells}
         assert by_scheme["identity"].trials == 1
         assert by_scheme["nullspace"].trials == 2
+
+    def test_cells_differing_only_in_eps_stay_apart(self):
+        grid = ExperimentGrid(
+            specs=(ProblemSpec(m=8, n=16, k=2),),
+            cells=(SchemeCell("classic", q=0.5, eps=1e-4), SchemeCell("classic", q=0.5, eps=0.1)),
+            samples=3,
+            base_seed=3,
+        )
+        cells = summarize(run_experiment(grid))
+        assert [(c.eps, c.trials) for c in cells] == [(1e-4, 3), (0.1, 3)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -363,6 +376,26 @@ class TestLoadGrid:
         with pytest.raises(ValueError, match="grid.json"):
             load_grid(path)
 
+    def test_out_of_range_cell_rejected_at_load(self, tmp_path):
+        path = self._write(tmp_path, {
+            "specs": [{"m": 4, "n": 8, "k": 1}],
+            "cells": [{"scheme": "identity"}, {"scheme": "classic", "q": 1.0}],
+            "samples": 1,
+        })
+        with pytest.raises(ValueError, match="Classic needs 0 <= q < 1"):
+            load_grid(path)
+
+    def test_non_integer_solver_counts_rejected(self, tmp_path):
+        for solver in ({"inner_cap": 50.0}, {"stages": 2.5}):
+            path = self._write(tmp_path, {
+                "specs": [{"m": 4, "n": 8, "k": 1}],
+                "cells": [{"scheme": "identity"}],
+                "samples": 1,
+                "solver": solver,
+            })
+            with pytest.raises(ValueError, match="must be an integer"):
+                load_grid(path)
+
     def test_bad_solver_field(self, tmp_path):
         path = self._write(tmp_path, {
             "specs": [{"m": 4, "n": 8, "k": 1}],
@@ -403,8 +436,8 @@ class TestRecoveryInvariants:
                 base_seed=2024,
             )
             config = SolverConfig(eta_factor=1e-8)
-            stats = summarize(run_experiment(grid, config, jobs=JOBS))
-            by_scheme = {c.scheme: c.support_rate for c in stats.cells}
+            cells = summarize(run_experiment(grid, config, jobs=JOBS))
+            by_scheme = {c.scheme: c.support_rate for c in cells}
             rates[q] = (by_scheme["nullspace"], by_scheme["classic"])
         for q, (guided, classic) in rates.items():
             assert guided >= classic, f"q={q}: {guided} < {classic}"

@@ -298,6 +298,19 @@ class TestBenchCommand:
                 seeds.append([row["seed"] for row in csv.DictReader(fh)])
         assert seeds[0] != seeds[1]
 
+    def test_invalid_grid_values_fail_before_any_trial(self, tmp_path, capsys):
+        for overrides in (
+            {"solver": {"inner_cap": 50.0}},
+            {"solver": {"stages": 2.5}},
+            {"cells": [{"scheme": "identity"}, {"scheme": "classic", "q": 1.0}]},
+        ):
+            out_dir = tmp_path / "out"
+            code = main(["bench", self._grid_file(tmp_path, **overrides),
+                         "--out-dir", str(out_dir), "--jobs", "1"])
+            assert code == 1, overrides
+            assert "error:" in capsys.readouterr().err
+            assert not out_dir.exists()
+
     def test_malformed_grid_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wl1min import (
-    as_index_set,
     as_matrix,
     as_vector,
     kernel_basis,
@@ -47,22 +46,6 @@ class TestValidation:
     def test_as_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([np.nan])
-
-    def test_as_index_set_accepts_increasing(self):
-        assert as_index_set([0, 2], 3) == (0, 2)
-        assert as_index_set(np.array([1]), 3) == (1,)
-
-    def test_as_index_set_rejects_unsorted_or_duplicates(self):
-        with pytest.raises(ValueError):
-            as_index_set([2, 0], 3)
-        with pytest.raises(ValueError):
-            as_index_set([1, 1], 3)
-
-    def test_as_index_set_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            as_index_set([3], 3)
-        with pytest.raises(ValueError):
-            as_index_set([-1], 3)
 
 
 class TestLargestGramEigenvalue:

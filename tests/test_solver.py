@@ -256,8 +256,12 @@ class TestSchemeValidation:
             SolverConfig(eta_factor=0.0)
         with pytest.raises(ValueError):
             SolverConfig(inner_cap=0)
-        with pytest.raises(ValueError):
-            SolverConfig(L_inflation=0.99)
+
+    def test_config_rejects_non_integer_counts(self):
+        for bad in ({"stages": 2.5}, {"stages": 3.0}, {"stages": True},
+                    {"inner_cap": 50.0}, {"inner_cap": False}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SolverConfig(**bad)
 
 
 class TestSolve:
@@ -297,10 +301,6 @@ class TestSolve:
         assert np.array_equal(report.stages[0].weights, w)
         assert np.array_equal(report.stages[1].weights, w)
 
-    def test_x0_override(self, ex1_phi, ex1_b):
-        report = solve(ex1_phi, ex1_b, Identity(), SolverConfig(x0=np.zeros(3)))
-        assert np.abs(report.x - np.array([0.75, 0.75, 0.0])).max() <= 1e-2
-
     def test_objective_monotone_within_stages(self, ex1_phi, ex1_b):
         report = solve(ex1_phi, ex1_b, NullspaceGuided(), SolverConfig(stages=4))
         for objs in report.objective_history:
@@ -321,8 +321,6 @@ class TestSolve:
             solve(ex1_phi, np.zeros(3), Identity())
         with pytest.raises(ValueError):
             solve(ex1_phi, np.zeros(2), Fixed(np.array([1.0, 1.0])))
-        with pytest.raises(ValueError):
-            solve(ex1_phi, np.zeros(2), Identity(), SolverConfig(x0=np.ones(4)))
 
     def test_unknown_scheme_rejected(self, ex1_phi, ex1_b):
         with pytest.raises(TypeError):
