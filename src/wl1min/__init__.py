@@ -1,141 +1,19 @@
 """Weighted l1 sparse recovery: solvers, exact certificates, benchmarks.
 
-The package has four layers: ``linops`` (dense linear algebra helpers and
-the matrix/vector text format), ``solver`` (proximal-gradient continuation
-with pluggable reweighting schemes), ``certificates`` (exact null-space and
-isometry certificates plus a simplex LP oracle), and ``bench`` (seeded
-random experiments).  ``cli`` binds them into the ``wl1min`` command.
+The package has four layers: ``linops`` (dense linear algebra helpers, the
+input rules and the matrix/vector text format), ``solver`` (proximal-gradient
+continuation with pluggable reweighting schemes), ``certificates`` (exact
+null-space and isometry certificates plus a simplex LP oracle), and ``bench``
+(seeded random experiments).  ``cli`` binds them into the ``wl1min`` command.
+The package re-exports the public names of the four layers.
 """
 
-from .bench import (
-    CellSummary,
-    ExperimentGrid,
-    GeneratedProblem,
-    ProblemSpec,
-    SchemeCell,
-    TrialResult,
-    emit_results,
-    emit_summary,
-    generate_problem,
-    load_grid,
-    run_experiment,
-    summarize,
-    trial_seed,
-)
-from .certificates import (
-    DominantSupportReport,
-    DownweightInterval,
-    EnumerationCapExceeded,
-    InfeasibleSystem,
-    NspReport,
-    RicValue,
-    RocValue,
-    VertexSet,
-    check_nsp,
-    check_wnsp,
-    compute_ric,
-    compute_roc,
-    dominant_support,
-    downweight_interval,
-    l1_min_exact,
-    l1ball_section_vertices,
-    recovery_trial,
-    ric_bound_plain_order,
-    ric_bound_plain_order_infimum,
-    ric_bound_scaled_order,
-)
-from .linops import (
-    as_matrix,
-    as_vector,
-    kernel_basis,
-    largest_gram_eigenvalue,
-    read_matrix,
-    read_vector,
-    write_matrix,
-    write_vector,
-)
-from .solver import (
-    Classic,
-    Fixed,
-    Identity,
-    InnerResult,
-    NullspaceGuided,
-    SCHEMES,
-    SolveReport,
-    SolverConfig,
-    StageDiagnostics,
-    WeightScheme,
-    ista_stage,
-    mu_schedule,
-    soft_threshold,
-    solve,
-    update_weights_classic,
-    update_weights_nullspace,
-)
+from . import bench, certificates, linops, solver
+from .bench import *  # noqa: F401,F403
+from .certificates import *  # noqa: F401,F403
+from .linops import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # linops
-    "as_matrix",
-    "as_vector",
-    "largest_gram_eigenvalue",
-    "kernel_basis",
-    "read_matrix",
-    "write_matrix",
-    "read_vector",
-    "write_vector",
-    # solver
-    "Identity",
-    "Classic",
-    "NullspaceGuided",
-    "Fixed",
-    "WeightScheme",
-    "SCHEMES",
-    "SolverConfig",
-    "InnerResult",
-    "StageDiagnostics",
-    "SolveReport",
-    "soft_threshold",
-    "mu_schedule",
-    "ista_stage",
-    "update_weights_classic",
-    "update_weights_nullspace",
-    "solve",
-    # certificates
-    "EnumerationCapExceeded",
-    "InfeasibleSystem",
-    "VertexSet",
-    "NspReport",
-    "DominantSupportReport",
-    "DownweightInterval",
-    "RicValue",
-    "RocValue",
-    "l1ball_section_vertices",
-    "check_nsp",
-    "check_wnsp",
-    "dominant_support",
-    "downweight_interval",
-    "compute_ric",
-    "compute_roc",
-    "ric_bound_scaled_order",
-    "ric_bound_plain_order",
-    "ric_bound_plain_order_infimum",
-    "l1_min_exact",
-    "recovery_trial",
-    # bench
-    "ProblemSpec",
-    "GeneratedProblem",
-    "SchemeCell",
-    "ExperimentGrid",
-    "TrialResult",
-    "CellSummary",
-    "generate_problem",
-    "trial_seed",
-    "run_experiment",
-    "summarize",
-    "emit_results",
-    "emit_summary",
-    "load_grid",
-]
+__all__ = ["__version__", *linops.__all__, *solver.__all__, *certificates.__all__, *bench.__all__]

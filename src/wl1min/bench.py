@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import SCHEMES, SolverConfig, WeightScheme, solve
+from .linops import as_int
+from .solver import SCHEMES, SolverConfig, WeightScheme, _set_numbers, solve
 
 __all__ = [
     "ProblemSpec",
@@ -52,12 +53,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.noise_sigma, (int, float)) or isinstance(self.noise_sigma, bool):
-            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+            as_int(getattr(self, name), name)
+        _set_numbers(self, "noise_sigma")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need positive dimensions, got m={self.m}, n={self.n}")
         if not 0 <= self.k <= self.n:
@@ -86,11 +83,7 @@ class SchemeCell:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
-        for name in ("q", "eps"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        _set_numbers(self, "q", "eps")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         self.to_weight_scheme()  # the scheme rejects its own out-of-range q
@@ -111,10 +104,8 @@ class ExperimentGrid:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not self.specs or not self.cells:
             raise ValueError("grid needs at least one spec and one cell")
-        for name in ("samples", "base_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        as_int(self.samples, "samples")
+        as_int(self.base_seed, "base_seed")
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
         if self.base_seed < 0:

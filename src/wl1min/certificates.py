@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linops import as_matrix, as_vector, kernel_basis
+from .linops import as_matrix, as_system, as_weights, kernel_basis
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -301,11 +301,7 @@ def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport
     """
     phi = as_matrix(phi)
     _validate_order(phi, k)
-    w = as_vector(weights)
-    if w.shape[0] != phi.shape[1]:
-        raise ValueError(f"weights have {w.shape[0]} entries, expected {phi.shape[1]}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be strictly positive")
+    w = as_weights(weights, phi.shape[1])
     basis = kernel_basis(phi)
     if basis.shape[1] == 0:
         return NspReport(True, k, True, None, None, None)
@@ -656,19 +652,9 @@ def l1_min_exact(phi, b, weights=None) -> np.ndarray:
     so the returned point is always a vertex of the solution polytope.
     Raises :class:`InfeasibleSystem` when no solution exists.
     """
-    phi = as_matrix(phi)
-    b = as_vector(b)
-    m, n = phi.shape
-    if b.shape[0] != m:
-        raise ValueError(f"dimension mismatch: matrix is {phi.shape}, rhs has {b.shape[0]} entries")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = as_vector(weights)
-        if w.shape[0] != n:
-            raise ValueError(f"weights have {w.shape[0]} entries, expected {n}")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
+    phi, b = as_system(phi, b)
+    n = phi.shape[1]
+    w = np.ones(n) if weights is None else as_weights(weights, n)
     a = np.hstack([phi, -phi])
     costs = np.concatenate([w, w])
     z = _simplex_solve(a, b, costs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -155,9 +156,20 @@ def _print_nsp(label: str, report: certificates.NspReport) -> None:
         )
 
 
+def _ric_order(a: float, k: int) -> int:
+    """The integral order ``a * k`` a ``--ric-budget`` of ``a > 1`` asks for."""
+    order = a * k
+    if not (math.isfinite(order) and abs(order - round(order)) <= 1e-9):
+        raise ValueError(f"--ric-budget {a} gives non-integral order a*k = {order}")
+    if a <= 1.0:
+        raise ValueError(f"budget multiplier a must exceed 1, got {a}")
+    return round(order)
+
+
 def cmd_certify(args) -> int:
     phi = linops.read_matrix(args.matrix)
     weights = _load_weights(args, phi.shape[1])
+    ric_order = None if args.ric_budget is None else _ric_order(args.ric_budget, args.k)
     nsp = certificates.check_nsp(phi, args.k, max_zero_sets=args.cap)
     payload: dict = {"k": args.k, "nsp": asdict(nsp)}
     wnsp = None
@@ -167,14 +179,9 @@ def cmd_certify(args) -> int:
     if not nsp.vacuous:
         dom = certificates.dominant_support(phi, args.k, max_zero_sets=args.cap)
         ric_budget = None
-        if args.ric_budget is not None:
-            a = args.ric_budget
-            order = a * args.k
-            rounded = round(order)
-            if abs(order - rounded) > 1e-9 or rounded < 1:
-                raise ValueError(f"--ric-budget {a} gives non-integral order a*k = {order}")
-            delta = certificates.compute_ric(phi, int(rounded), max_subsets=args.cap).value
-            ric_budget = (a, delta)
+        if ric_order is not None:
+            delta = certificates.compute_ric(phi, ric_order, max_subsets=args.cap).value
+            ric_budget = (args.ric_budget, delta)
         interval = certificates.downweight_interval(
             phi, args.k, ric_budget=ric_budget, max_zero_sets=args.cap
         )

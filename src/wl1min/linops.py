@@ -19,8 +19,12 @@ import warnings
 import numpy as np
 
 __all__ = [
+    "as_int",
+    "as_number",
     "as_matrix",
     "as_vector",
+    "as_system",
+    "as_weights",
     "largest_gram_eigenvalue",
     "kernel_basis",
     "read_matrix",
@@ -28,6 +32,23 @@ __all__ = [
     "read_vector",
     "write_vector",
 ]
+
+
+def as_int(value, name: str) -> int:
+    """Return ``value`` if it is an ``int``; ``bool`` is rejected."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def as_number(value, name: str) -> float:
+    """Return ``value`` as a finite float; ``bool`` is rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def as_matrix(a) -> np.ndarray:
@@ -52,6 +73,25 @@ def as_vector(a) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def as_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(as_matrix(a), as_vector(b))`` with one rhs entry per row."""
+    a = as_matrix(a)
+    b = as_vector(b)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: matrix is {a.shape}, rhs has {b.shape[0]} entries")
+    return a, b
+
+
+def as_weights(w, n: int) -> np.ndarray:
+    """Return ``w`` as a validated vector of ``n`` strictly positive weights."""
+    w = as_vector(w)
+    if w.shape[0] != n:
+        raise ValueError(f"weights have {w.shape[0]} entries, expected {n}")
+    if np.any(w <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    return w
 
 
 # Power-iteration stopping rule: relative Rayleigh-quotient change and cap.

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linops import as_matrix, as_vector, largest_gram_eigenvalue
+from .linops import as_int, as_number, as_system, as_vector, as_weights, largest_gram_eigenvalue
 
 __all__ = [
     "Identity",
@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+def _set_numbers(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by its ``as_number``."""
+    for name in names:
+        object.__setattr__(obj, name, as_number(getattr(obj, name), name))
+
+
 @dataclass(frozen=True)
 class Identity:
     """Constant all-ones weights."""
@@ -61,6 +67,7 @@ class Classic:
     eps: float = 1e-4
 
     def __post_init__(self):
+        _set_numbers(self, "q", "eps")
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"Classic needs 0 <= q < 1, got {self.q}")
         if self.eps <= 0.0:
@@ -81,6 +88,7 @@ class NullspaceGuided:
     eps: float = 1e-4
 
     def __post_init__(self):
+        _set_numbers(self, "q", "eps")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"NullspaceGuided needs 0 < q <= 1, got {self.q}")
         if self.eps <= 0.0:
@@ -126,10 +134,9 @@ class SolverConfig:
     inner_cap: int = 5000
 
     def __post_init__(self):
-        for name in ("stages", "inner_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        as_int(self.stages, "stages")
+        as_int(self.inner_cap, "inner_cap")
+        _set_numbers(self, "mu_decay", "eta_factor")
         if self.stages < 1:
             raise ValueError(f"need at least one stage, got {self.stages}")
         if not 0.0 < self.mu_decay < 1.0:
@@ -173,6 +180,10 @@ class SolveReport:
         return all(s.converged for s in self.stages)
 
 
+def _shrink(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def soft_threshold(v, t) -> np.ndarray:
     """Entrywise ``sign(v) * max(|v| - t, 0)``.
 
@@ -184,15 +195,12 @@ def soft_threshold(v, t) -> np.ndarray:
         raise ValueError(f"shape mismatch: {v.shape} vs {t.shape}")
     if np.any(t < 0.0):
         raise ValueError("thresholds must be nonnegative")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _shrink(v, t)
 
 
 def mu_schedule(phi, b, stages: int, decay: float) -> np.ndarray:
     """Penalty continuation ``mu_tau = decay**(tau-1) * ||phi.T b||_inf``."""
-    phi = as_matrix(phi)
-    b = as_vector(b)
-    if phi.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {phi.shape}, rhs has {b.shape[0]} entries")
+    phi, b = as_system(phi, b)
     if stages < 1:
         raise ValueError(f"need at least one stage, got {stages}")
     if not 0.0 < decay < 1.0:
@@ -208,17 +216,15 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     Returns ``(x, InnerResult)``; the result records the objective after the
     start point and after every inner update.  An exactly repeated iterate
     stops the loop early: once ``x_{t+1} == x_t`` bitwise every later iterate
-    is identical, so the stage is stationary even when ``eta == 0``.
+    is identical, so the stage is stationary even when ``eta == 0``.  Inputs
+    are validated once here, so the loop shrinks without re-checking them.
     """
-    phi = as_matrix(phi)
-    b = as_vector(b)
-    weights = as_vector(weights)
-    x = as_vector(x_init).copy()
+    phi, b = as_system(phi, b)
     n = phi.shape[1]
-    if phi.shape[0] != b.shape[0] or weights.shape[0] != n or x.shape[0] != n:
-        raise ValueError("dimension mismatch between matrix, rhs, weights and start point")
-    if np.any(weights <= 0.0):
-        raise ValueError("weights must be strictly positive")
+    weights = as_weights(weights, n)
+    x = as_vector(x_init).copy()
+    if x.shape[0] != n:
+        raise ValueError(f"start point has {x.shape[0]} entries, expected {n}")
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if L <= 0.0:
@@ -234,7 +240,7 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     objectives = [0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x)))]
     step = float("nan")
     for it in range(1, cap + 1):
-        x_next = soft_threshold(x - (phi.T @ r) / L, thresholds)
+        x_next = _shrink(x - (phi.T @ r) / L, thresholds)
         step = float(np.linalg.norm(x_next - x))
         r = phi @ x_next - b
         objectives.append(0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x_next))))
@@ -245,23 +251,21 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     return x, InnerResult(cap, step, False, objectives)
 
 
-def update_weights_nullspace(x_prev, x_curr, q: float, eps: float) -> np.ndarray:
+def update_weights_nullspace(x_prev, x_curr, scheme: NullspaceGuided) -> np.ndarray:
     """Weights from the stage step ``h = x_curr - x_prev``.
 
     With ``k`` the number of exact nonzeros of ``x_curr``, the ``k`` largest
     ``|h|`` coordinates (ties to the smaller index) form the set ``T`` and get
     ``w_i = ((|h_i| + eps) / D) ** (q - 1)`` with ``D`` the largest ``|h|``
     outside ``T``; everything else stays at 1.  When ``T`` covers all
-    coordinates or ``D == 0``, ``D`` falls back to ``eps``.
+    coordinates or ``D == 0``, ``D`` falls back to ``eps``.  ``q`` and ``eps``
+    come from ``scheme``, which checked them on construction.
     """
     x_prev = as_vector(x_prev)
     x_curr = as_vector(x_curr)
     if x_prev.shape != x_curr.shape:
         raise ValueError(f"shape mismatch: {x_prev.shape} vs {x_curr.shape}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"need 0 < q <= 1, got {q}")
-    if eps <= 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    q, eps = scheme.q, scheme.eps
     n = x_curr.shape[0]
     w = np.ones(n)
     k = int(np.count_nonzero(x_curr))
@@ -280,14 +284,11 @@ def update_weights_nullspace(x_prev, x_curr, q: float, eps: float) -> np.ndarray
     return w
 
 
-def update_weights_classic(x_curr, q: float, eps: float) -> np.ndarray:
-    """Magnitude weights ``w_i = (1 / (|x_i| + eps)) ** (1 - q)``."""
+def update_weights_classic(x_curr, scheme: Classic) -> np.ndarray:
+    """Magnitude weights ``w_i = (1 / (|x_i| + eps)) ** (1 - q)`` with ``q``
+    and ``eps`` from ``scheme``."""
     x_curr = as_vector(x_curr)
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"need 0 <= q < 1, got {q}")
-    if eps <= 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
-    return (1.0 / (np.abs(x_curr) + eps)) ** (1.0 - q)
+    return (1.0 / (np.abs(x_curr) + scheme.eps)) ** (1.0 - scheme.q)
 
 
 def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> SolveReport:
@@ -301,11 +302,8 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
     """
     if config is None:
         config = SolverConfig()
-    phi = as_matrix(phi)
-    b = as_vector(b)
-    m, n = phi.shape
-    if b.shape[0] != m:
-        raise ValueError(f"dimension mismatch: matrix is {phi.shape}, rhs has {b.shape[0]} entries")
+    phi, b = as_system(phi, b)
+    n = phi.shape[1]
     if not isinstance(scheme, (Identity, Classic, NullspaceGuided, Fixed)):
         raise TypeError(f"unknown weight scheme: {scheme!r}")
 
@@ -349,9 +347,9 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
         if tau == config.stages:
             break  # no stage is left to use updated weights
         if isinstance(scheme, NullspaceGuided):
-            weights = update_weights_nullspace(x_prev, x, scheme.q, scheme.eps)
+            weights = update_weights_nullspace(x_prev, x, scheme)
         elif isinstance(scheme, Classic):
-            weights = update_weights_classic(x, scheme.q, scheme.eps)
+            weights = update_weights_classic(x, scheme)
         # Identity and Fixed keep their weights.
 
     return SolveReport(

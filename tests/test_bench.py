@@ -48,6 +48,8 @@ class TestProblemSpecValidation:
     def test_rejects_bad_noise_and_seed(self):
         with pytest.raises(ValueError):
             ProblemSpec(m=4, n=4, k=1, noise_sigma=-0.1)
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            ProblemSpec(m=4, n=4, k=1, noise_sigma=float("nan"))
         with pytest.raises(ValueError):
             ProblemSpec(m=4, n=4, k=1, seed=-1)
 
@@ -60,6 +62,8 @@ class TestProblemSpecValidation:
             SchemeCell("unknown")
         with pytest.raises(ValueError):
             SchemeCell("classic", eps=0.0)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            SchemeCell("identity", eps=float("nan"))
         with pytest.raises(ValueError):
             SchemeCell("classic", q=1.0)
         with pytest.raises(ValueError):
@@ -394,6 +398,18 @@ class TestLoadGrid:
                 "solver": solver,
             })
             with pytest.raises(ValueError, match="must be an integer"):
+                load_grid(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        for cell, solver in (({"scheme": "classic", "eps": float("nan")}, {}),
+                             ({"scheme": "identity"}, {"eta_factor": float("nan")})):
+            path = self._write(tmp_path, {
+                "specs": [{"m": 4, "n": 8, "k": 1}],
+                "cells": [cell],
+                "samples": 1,
+                "solver": solver,
+            })
+            with pytest.raises(ValueError, match="must be finite"):
                 load_grid(path)
 
     def test_bad_solver_field(self, tmp_path):

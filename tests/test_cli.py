@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from wl1min import write_matrix, write_vector
+from wl1min import certificates, write_matrix, write_vector
 from wl1min.cli import main
 
 
@@ -79,6 +79,11 @@ class TestSolveCommand:
         code = main(["solve", *ex1_paths, "--scheme", "fixed", "--weights", "1,1"])
         assert code == 1
         assert "expected 3 weights" in capsys.readouterr().err
+
+    def test_non_finite_eps_is_input_error(self, ex2_paths, capsys):
+        code = main(["solve", *ex2_paths, "--scheme", "classic", "--eps", "nan"])
+        assert code == 1
+        assert "eps must be finite" in capsys.readouterr().err
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         # near-singular design whose minimizer is far too large to reach
@@ -162,6 +167,27 @@ class TestCertifyCommand:
         code = main(["certify", ex1_paths[0], "-k", "1", "--ric-budget", "2.5"])
         assert code == 1
         assert "non-integral" in capsys.readouterr().err
+
+
+    def test_budget_rejected_on_trivial_kernel(self, tmp_path, capsys):
+        path = tmp_path / "identity.txt"
+        write_matrix(path, np.eye(2))
+        for budget in ("1.5", "0.5"):
+            code = main(["certify", str(path), "-k", "1", "--ric-budget", budget])
+            assert code == 1, budget
+            assert "error:" in capsys.readouterr().err
+
+    def test_budget_multiplier_checked_before_any_certificate(
+        self, ex1_paths, capsys, monkeypatch
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("certificate computed before the budget was checked")
+
+        monkeypatch.setattr(certificates, "check_nsp", unexpected)
+        monkeypatch.setattr(certificates, "compute_ric", unexpected)
+        code = main(["certify", ex1_paths[0], "-k", "1", "--ric-budget", "1"])
+        assert code == 1
+        assert "budget multiplier a must exceed 1" in capsys.readouterr().err
 
 
 class TestRicCommand:

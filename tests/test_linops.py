@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from wl1min import (
+    as_int,
     as_matrix,
+    as_number,
+    as_system,
     as_vector,
+    as_weights,
     kernel_basis,
     largest_gram_eigenvalue,
     read_matrix,
@@ -46,6 +50,36 @@ class TestValidation:
     def test_as_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([np.nan])
+
+
+class TestInputRules:
+    def test_as_int(self):
+        assert as_int(3, "k") == 3
+        for bad in (3.0, True, "3"):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                as_int(bad, "k")
+
+    def test_as_number(self):
+        assert as_number(2, "eps") == 2.0 and type(as_number(2, "eps")) is float
+        for bad in (False, "0.1", None):
+            with pytest.raises(ValueError, match="eps must be a number"):
+                as_number(bad, "eps")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                as_number(bad, "eps")
+
+    def test_as_system(self):
+        a, b = as_system([[1.0, 2.0]], [3.0])
+        assert a.shape == (1, 2) and b.shape == (1,)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            as_system(np.eye(2), np.ones(3))
+
+    def test_as_weights(self):
+        assert np.array_equal(as_weights([0.5, 1.0], 2), [0.5, 1.0])
+        with pytest.raises(ValueError, match="weights have 3 entries, expected 2"):
+            as_weights(np.ones(3), 2)
+        with pytest.raises(ValueError, match="strictly positive"):
+            as_weights([1.0, 0.0], 2)
 
 
 class TestLargestGramEigenvalue:

@@ -149,12 +149,61 @@ class TestIstaStage:
             ista_stage(ex1_phi, ex1_b, np.ones(3), 0.1, 1.0, np.ones(3), 1e-4, 0)
 
 
+def _reference_ista_loop(phi, b, weights, mu, L, x_init, eta, cap):
+    """The inner loop as written when every iteration called the validated
+    ``soft_threshold``; returns what ``ista_stage`` reports."""
+    x = x_init.copy()
+    thresholds = (mu / L) * weights
+    r = phi @ x - b
+    objectives = [0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x)))]
+    step = float("nan")
+    for it in range(1, cap + 1):
+        x_next = soft_threshold(x - (phi.T @ r) / L, thresholds)
+        step = float(np.linalg.norm(x_next - x))
+        r = phi @ x_next - b
+        objectives.append(0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x_next))))
+        stop = step < eta * max(1.0, float(np.linalg.norm(x))) or step == 0.0
+        x = x_next
+        if stop:
+            return x, it, step, True, objectives
+    return x, cap, step, False, objectives
+
+
+class TestIstaLoopReference:
+    @pytest.mark.parametrize(
+        "shape, eta_factor, cap",
+        [(shape, eta, 5000) for shape in ((8, 16), (32, 128)) for eta in (1e-4, 1e-8, 0.0)]
+        + [((32, 128), 1e-8, 3)],
+    )
+    def test_bitwise_equal_to_validated_loop(self, shape, eta_factor, cap):
+        m, n = shape
+        rng = np.random.default_rng(m * n)
+        phi = rng.standard_normal(shape)
+        x0 = np.zeros(n)
+        x0[rng.permutation(n)[: m // 4]] = rng.standard_normal(m // 4)
+        b = phi @ x0
+        w = rng.uniform(0.5, 1.0, n)
+        mu = 0.1 * float(np.abs(phi.T @ b).max())
+        L = 1.000001 * largest_gram_eigenvalue(phi)
+        eta = eta_factor * mu
+        x, inner = ista_stage(phi, b, w, mu, L, np.ones(n), eta, cap)
+        want_x, iters, step, converged, objectives = _reference_ista_loop(
+            phi, b, w, mu, L, np.ones(n), eta, cap)
+        assert np.array_equal(x, want_x)
+        assert inner.objectives == objectives
+        assert inner.iterations == iters
+        assert inner.final_step_norm == step
+        assert inner.converged == converged
+        if cap == 3:
+            assert iters == 3 and not converged
+
+
 class TestNullspaceWeights:
     def test_reference_update_with_exact_tie(self):
         # h = (0.1, -0.1, 0.2): the two 0.1 magnitudes tie bitwise and the
         # smaller index wins the second slot of T.
         w = update_weights_nullspace(np.array([0.0, 0.1, 0.0]),
-                                     np.array([0.1, 0.0, 0.2]), 0.5, 1e-4)
+                                     np.array([0.1, 0.0, 0.2]), NullspaceGuided(0.5, 1e-4))
         assert w[1] == 1.0
         assert w[0] == pytest.approx((1.001) ** -0.5, rel=1e-12)
         assert w[2] == pytest.approx((2.001) ** -0.5, rel=1e-12)
@@ -162,17 +211,19 @@ class TestNullspaceWeights:
 
     def test_q_one_degenerates_to_ones(self):
         rng = np.random.default_rng(0)
-        w = update_weights_nullspace(rng.standard_normal(6), rng.standard_normal(6), 1.0, 1e-4)
+        w = update_weights_nullspace(rng.standard_normal(6), rng.standard_normal(6),
+                                     NullspaceGuided(1.0, 1e-4))
         assert np.array_equal(w, np.ones(6))
 
     def test_zero_support_gives_ones(self):
-        w = update_weights_nullspace(np.array([1.0, 2.0]), np.zeros(2), 0.5, 1e-4)
+        w = update_weights_nullspace(np.array([1.0, 2.0]), np.zeros(2),
+                                     NullspaceGuided(0.5, 1e-4))
         assert np.array_equal(w, np.ones(2))
 
     def test_full_support_uses_eps_denominator(self):
         x_prev = np.zeros(2)
         x_curr = np.array([0.2, 0.1])
-        w = update_weights_nullspace(x_prev, x_curr, 0.5, 1e-4)
+        w = update_weights_nullspace(x_prev, x_curr, NullspaceGuided(0.5, 1e-4))
         assert w[0] == pytest.approx((0.2001 / 1e-4) ** -0.5, rel=1e-12)
         assert w[1] == pytest.approx((0.1001 / 1e-4) ** -0.5, rel=1e-12)
 
@@ -180,7 +231,7 @@ class TestNullspaceWeights:
         x_prev = np.array([0.0, 0.0, 0.5])
         x_curr = np.array([0.3, 0.0, 0.5])
         # h = (0.3, 0, 0): one nonzero of x_curr... supp = {0, 2}, T = top-2 of h
-        w = update_weights_nullspace(x_prev, x_curr, 0.5, 1e-4)
+        w = update_weights_nullspace(x_prev, x_curr, NullspaceGuided(0.5, 1e-4))
         assert w[0] == pytest.approx((0.3001 / 1e-4) ** -0.5, rel=1e-12)
         assert w[1] == pytest.approx((1e-4 / 1e-4) ** -0.5, rel=1e-12)  # |h|=0 inside T
         assert w[2] == 1.0
@@ -191,35 +242,27 @@ class TestNullspaceWeights:
             x_prev = rng.standard_normal(12)
             x_curr = rng.standard_normal(12)
             x_curr[rng.random(12) < 0.4] = 0.0
-            w = update_weights_nullspace(x_prev, x_curr, rng.uniform(0.05, 1.0), 1e-4)
+            scheme = NullspaceGuided(rng.uniform(0.05, 1.0), 1e-4)
+            w = update_weights_nullspace(x_prev, x_curr, scheme)
             assert np.all(w > 0.0) and np.all(w <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            update_weights_nullspace(np.ones(3), np.ones(2), 0.5, 1e-4)
-        with pytest.raises(ValueError):
-            update_weights_nullspace(np.ones(3), np.ones(3), 0.0, 1e-4)
-        with pytest.raises(ValueError):
-            update_weights_nullspace(np.ones(3), np.ones(3), 0.5, 0.0)
+            update_weights_nullspace(np.ones(3), np.ones(2), NullspaceGuided())
 
 
 class TestClassicWeights:
     def test_reference_values(self):
-        assert update_weights_classic(np.array([3.0]), 0.5, 1e-4)[0] == pytest.approx(
+        assert update_weights_classic(np.array([3.0]), Classic(0.5, 1e-4))[0] == pytest.approx(
             0.5773406469256952, rel=1e-12)
-        assert update_weights_classic(np.array([0.0]), 0.0, 1e-4)[0] == pytest.approx(1e4, rel=1e-12)
-        assert update_weights_classic(np.array([1.0]), 0.0, 1e-4)[0] == pytest.approx(
+        assert update_weights_classic(np.array([0.0]), Classic(0.0, 1e-4))[0] == pytest.approx(
+            1e4, rel=1e-12)
+        assert update_weights_classic(np.array([1.0]), Classic(0.0, 1e-4))[0] == pytest.approx(
             0.9999000099990001, rel=1e-12)
 
     def test_weights_can_exceed_one(self):
-        w = update_weights_classic(np.zeros(4), 0.5, 1e-4)
+        w = update_weights_classic(np.zeros(4), Classic(0.5, 1e-4))
         assert np.all(w > 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            update_weights_classic(np.ones(3), 1.0, 1e-4)
-        with pytest.raises(ValueError):
-            update_weights_classic(np.ones(3), 0.5, 0.0)
 
 
 class TestSchemeValidation:
@@ -240,6 +283,10 @@ class TestSchemeValidation:
             Classic(eps=0.0)
         with pytest.raises(ValueError):
             NullspaceGuided(eps=-1e-4)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            Classic(eps=float("nan"))
+        with pytest.raises(ValueError, match="eps must be finite"):
+            NullspaceGuided(eps=float("inf"))
 
     def test_fixed_weight_range(self):
         with pytest.raises(ValueError):
@@ -254,6 +301,10 @@ class TestSchemeValidation:
             SolverConfig(mu_decay=1.0)
         with pytest.raises(ValueError):
             SolverConfig(eta_factor=0.0)
+        with pytest.raises(ValueError, match="eta_factor must be a number"):
+            SolverConfig(eta_factor=True)
+        with pytest.raises(ValueError, match="eta_factor must be finite"):
+            SolverConfig(eta_factor=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(inner_cap=0)
 
