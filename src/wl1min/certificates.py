@@ -535,6 +535,9 @@ def ric_bound_plain_order_infimum(gamma: Fraction, k_start: int) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 _PIVOT_TOL = 1e-9
+# A reduced cost within this fraction of its column's largest entry is
+# rounding noise, not a descent direction.
+_COST_NOISE = 1e-12
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -544,9 +547,10 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     than reduced by ``0 * pivot row``, which could flip the sign of a zero.
     """
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    coeff = tableau[:, col].copy()
+    coeff[row] = 0.0
+    rows = coeff.nonzero()[0]
+    tableau[rows] -= np.multiply.outer(coeff[rows], tableau[row])
     basis[row] = col
 
 
@@ -556,33 +560,44 @@ def _pivot_loop(tableau: np.ndarray, basis: list[int], ncols: int, max_pivots: i
     ``tableau`` rows 0..m-1 hold the constraints, the last row the reduced
     costs with the negated objective value in its last entry.  ``ncols``
     bounds the candidate entering columns (excludes the rhs).
+
+    The smallest eligible column enters.  An eligible column with no
+    positive entry proves the LP unbounded unless its reduced cost is
+    rounding noise for the column's size; such a column is passed over for
+    the next eligible one.  The ratio test treats ratios within
+    ``_PIVOT_TOL`` of the running best as ties; that window can cycle on
+    degenerate vertices, so once a basis repeats, the rest of the loop
+    counts only equal ratios as ties.
     """
     m = tableau.shape[0] - 1
+    seen: set[int] = set()
+    tie = _PIVOT_TOL
     for _ in range(max_pivots):
-        costs = tableau[m, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: smallest eligible index enters
-            if costs[j] < -_PIVOT_TOL:
-                entering = j
+        if tie:
+            key = hash(tuple(basis))
+            if key in seen:
+                tie = 0.0
+            seen.add(key)
+        for entering in (tableau[m, :ncols] < -_PIVOT_TOL).nonzero()[0].tolist():
+            col = tableau[:m, entering]
+            rows = (col > _PIVOT_TOL).nonzero()[0]
+            if rows.size:
                 break
-        if entering < 0:
+            if -tableau[m, entering] > _COST_NOISE * float(np.abs(col).max(initial=0.0)):
+                raise RuntimeError("LP is unbounded; the weighted l1 objective cannot be")
+        else:
             return
-        col = tableau[:m, entering]
-        rhs = tableau[:m, -1]
         leaving = -1
         best_ratio = math.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
-                # Bland: ties resolve to the smallest basis variable.
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    ratio <= best_ratio + _PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    if ratio < best_ratio:
-                        best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("LP is unbounded; the weighted l1 objective cannot be")
+        # Bland: ties resolve to the smallest basis variable.  The window moves
+        # with the running best, so the rows are scanned in order.
+        for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / col[rows]).tolist()):
+            if ratio < best_ratio - tie or (
+                ratio <= best_ratio + tie and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                if ratio < best_ratio:
+                    best_ratio = ratio
+                leaving = i
         _pivot(tableau, basis, leaving, entering)
     raise RuntimeError(f"simplex did not terminate within {max_pivots} pivots")
 

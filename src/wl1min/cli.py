@@ -83,9 +83,7 @@ def _load_weights(args, n: int):
         w = linops.read_vector(args.weights_file)
     else:
         return None
-    if w.shape[0] != n:
-        raise ValueError(f"expected {n} weights, got {w.shape[0]}")
-    return w
+    return linops.as_weights(w, n)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +154,25 @@ def _print_nsp(label: str, report: certificates.NspReport) -> None:
         )
 
 
-def _ric_order(a: float, k: int) -> int:
-    """The integral order ``a * k`` a ``--ric-budget`` of ``a > 1`` asks for."""
+def _ric_order(a: float, k: int, n: int) -> int:
+    """The integral order ``a * k <= n`` a ``--ric-budget`` of ``a > 1`` asks for."""
     order = a * k
     if not (math.isfinite(order) and abs(order - round(order)) <= 1e-9):
         raise ValueError(f"--ric-budget {a} gives non-integral order a*k = {order}")
     if a <= 1.0:
         raise ValueError(f"budget multiplier a must exceed 1, got {a}")
-    return round(order)
+    order = round(order)
+    if order > n:
+        raise ValueError(f"--ric-budget {a} gives order a*k = {order}, above the {n} columns")
+    return order
 
 
 def cmd_certify(args) -> int:
     phi = linops.read_matrix(args.matrix)
     weights = _load_weights(args, phi.shape[1])
-    ric_order = None if args.ric_budget is None else _ric_order(args.ric_budget, args.k)
+    ric_order = None
+    if args.ric_budget is not None:
+        ric_order = _ric_order(args.ric_budget, args.k, phi.shape[1])
     nsp = certificates.check_nsp(phi, args.k, max_zero_sets=args.cap)
     payload: dict = {"k": args.k, "nsp": asdict(nsp)}
     wnsp = None

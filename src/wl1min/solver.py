@@ -201,7 +201,7 @@ def soft_threshold(v, t) -> np.ndarray:
 def mu_schedule(phi, b, stages: int, decay: float) -> np.ndarray:
     """Penalty continuation ``mu_tau = decay**(tau-1) * ||phi.T b||_inf``."""
     phi, b = as_system(phi, b)
-    if stages < 1:
+    if as_int(stages, "stages") < 1:
         raise ValueError(f"need at least one stage, got {stages}")
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
@@ -231,7 +231,7 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
         raise ValueError(f"step bound L must be positive, got {L}")
     if eta < 0.0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if cap < 1:
+    if as_int(cap, "cap") < 1:
         raise ValueError(f"iteration cap must be positive, got {cap}")
 
     thresholds = (mu / L) * weights

@@ -78,7 +78,12 @@ class TestSolveCommand:
     def test_wrong_weight_count_is_input_error(self, ex1_paths, capsys):
         code = main(["solve", *ex1_paths, "--scheme", "fixed", "--weights", "1,1"])
         assert code == 1
-        assert "expected 3 weights" in capsys.readouterr().err
+        assert "weights have 2 entries, expected 3" in capsys.readouterr().err
+
+    def test_non_positive_weight_is_input_error(self, ex1_paths, capsys):
+        code = main(["solve", *ex1_paths, "--scheme", "fixed", "--weights", "1,0,1"])
+        assert code == 1
+        assert "weights must be strictly positive" in capsys.readouterr().err
 
     def test_non_finite_eps_is_input_error(self, ex2_paths, capsys):
         code = main(["solve", *ex2_paths, "--scheme", "classic", "--eps", "nan"])
@@ -176,6 +181,25 @@ class TestCertifyCommand:
             code = main(["certify", str(path), "-k", "1", "--ric-budget", budget])
             assert code == 1, budget
             assert "error:" in capsys.readouterr().err
+
+    def test_budget_order_above_column_count_rejected(self, tmp_path, ex2_paths, capsys):
+        path = tmp_path / "identity.txt"
+        write_matrix(path, np.eye(2))
+        for matrix, k in ((str(path), "1"), (ex2_paths[0], "2")):
+            code = main(["certify", matrix, "-k", k, "--ric-budget", "3"])
+            assert code == 1, matrix
+            err = capsys.readouterr().err
+            assert "--ric-budget 3.0 gives order a*k" in err, err
+            assert "above" in err
+
+    def test_weight_count_checked_before_any_certificate(self, ex1_paths, capsys, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("certificate computed before the weights were checked")
+
+        monkeypatch.setattr(certificates, "check_nsp", unexpected)
+        code = main(["certify", ex1_paths[0], "-k", "1", "--weights", "1,1"])
+        assert code == 1
+        assert "weights have 2 entries, expected 3" in capsys.readouterr().err
 
     def test_budget_multiplier_checked_before_any_certificate(
         self, ex1_paths, capsys, monkeypatch

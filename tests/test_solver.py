@@ -69,6 +69,11 @@ class TestMuSchedule:
         with pytest.raises(ValueError):
             mu_schedule(ex1_phi, np.zeros(5), 3, 0.2)
 
+    @pytest.mark.parametrize("stages", [2.5, 2.0, True])
+    def test_non_integer_stage_count_rejected(self, stages):
+        with pytest.raises(ValueError, match="stages must be an integer"):
+            mu_schedule(np.eye(2), np.ones(2), stages, 0.2)
+
 
 class TestIstaStage:
     def test_identity_design_closed_form(self):
@@ -147,6 +152,11 @@ class TestIstaStage:
             ista_stage(ex1_phi, ex1_b, np.ones(3), 0.1, 0.0, np.ones(3), 1e-4, 10)
         with pytest.raises(ValueError):
             ista_stage(ex1_phi, ex1_b, np.ones(3), 0.1, 1.0, np.ones(3), 1e-4, 0)
+
+    @pytest.mark.parametrize("cap", [2.5, 10.0, True])
+    def test_non_integer_cap_rejected(self, ex1_phi, ex1_b, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            ista_stage(ex1_phi, ex1_b, np.ones(3), 0.1, 1.0, np.ones(3), 1e-4, cap)
 
 
 def _reference_ista_loop(phi, b, weights, mu, L, x_init, eta, cap):
