@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linops import as_matrix, as_system, as_weights, kernel_basis
+from .linops import as_int, as_matrix, as_system, as_weights, kernel_basis
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -51,7 +51,8 @@ __all__ = [
 _DEDUPE_TOL = 1e-9
 # Masses within this of the dominant one make the dominant support not unique.
 _TIE_TOL = 1e-9
-# Candidates scored per batched eigen/singular-value call in compute_ric/roc.
+# Candidates per batched call: zero sets per stacked SVD in the vertex
+# enumeration, supports per eigen/singular-value call in compute_ric/roc.
 _CHUNK = 8192
 
 
@@ -78,11 +79,15 @@ class VertexSet:
     ``vertices`` has one unit-l1 row per vertex; the set is closed under
     negation.  ``had_degenerate_zero_set`` flags inputs where some forced
     zero pattern met the subspace in dimension above one, handled by forcing
-    additional zeros recursively.
+    additional zeros recursively.  ``zero_sets`` counts the zero patterns
+    solved, recursion included, and ``degenerate_sets`` those of them that
+    met the subspace in dimension above one.
     """
 
     vertices: np.ndarray
     had_degenerate_zero_set: bool = False
+    zero_sets: int = 0
+    degenerate_sets: int = 0
 
 
 @dataclass
@@ -158,6 +163,14 @@ class RocValue:
     attaining: tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _as_cap(value, name: str) -> int:
+    """Return the work cap ``value``, an integer of at least 1."""
+    cap = as_int(value, name)
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1, got {cap}")
+    return cap
+
+
 def _nullspace_of_rows(rows: np.ndarray, width: int) -> np.ndarray:
     """Orthonormal null-space basis of a short row block (columns of output)."""
     if rows.shape[0] == 0:
@@ -175,12 +188,15 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     ``basis`` is an ``(n, d)`` array with orthonormal columns (``d >= 1``
     for a non-empty result).  Every vertex has at least ``d - 1`` zero
     coordinates, so candidates come from forcing each ``(d-1)``-subset of
-    coordinates to zero and normalizing the remaining direction.  Zero sets
-    that meet the subspace in dimension above one recurse with one more
-    forced zero (flagged in the output); degeneracy deeper than ``d`` extra
-    zeros aborts.  Refuses upfront when the count of base zero sets,
-    ``C(n, d-1)``, exceeds ``max_zero_sets``.
+    coordinates to zero and normalizing the remaining direction.  The base
+    zero sets are solved in blocks of ``_CHUNK`` with one stacked SVD each.
+    Zero sets that meet the subspace in dimension above one recurse with one
+    more forced zero (flagged in the output); the recursion ends because
+    forcing every coordinate leaves dimension 0.  Refuses upfront when the
+    count of base zero sets, ``C(n, d-1)``, exceeds ``max_zero_sets``, and
+    during the recursion once the visited zero sets exceed it.
     """
+    max_zero_sets = _as_cap(max_zero_sets, "max_zero_sets")
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2:
         raise ValueError(f"basis must be 2-d, got shape {b.shape}")
@@ -194,8 +210,17 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         raise EnumerationCapExceeded(required, max_zero_sets, "kernel zero sets")
 
     directions: list[np.ndarray] = []
-    degenerate = False
     visited: set[tuple[int, ...]] = set()
+    zero_sets = 0
+    degenerate_sets = 0
+
+    def visit() -> None:
+        nonlocal zero_sets
+        zero_sets += 1
+        if zero_sets > max_zero_sets:
+            raise EnumerationCapExceeded(
+                zero_sets, max_zero_sets, "kernel zero sets, degenerate recursion included"
+            )
 
     def emit(direction: np.ndarray, zero_idx: tuple[int, ...]) -> None:
         v = b @ direction
@@ -207,11 +232,12 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
             v = -v
         directions.append(v)
 
-    def explore(zero_idx: tuple[int, ...], extra: int) -> None:
-        nonlocal degenerate
+    def explore(zero_idx: tuple[int, ...]) -> None:
+        nonlocal degenerate_sets
         if zero_idx in visited:
             return
         visited.add(zero_idx)
+        visit()
         ns = _nullspace_of_rows(b[list(zero_idx), :], d)
         dim = ns.shape[1]
         if dim == 0:
@@ -219,29 +245,40 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         if dim == 1:
             emit(ns[:, 0], zero_idx)
             return
-        degenerate = True
-        if extra >= d:
-            raise RuntimeError(
-                f"zero set {zero_idx} still meets the subspace in dimension {dim} "
-                f"after forcing {extra} extra zeros; input is too degenerate"
-            )
+        degenerate_sets += 1
         present = set(zero_idx)
         for j in range(n):
             if j not in present:
-                explore(tuple(sorted(zero_idx + (j,))), extra + 1)
+                explore(tuple(sorted(zero_idx + (j,))))
 
     if d == 1:
-        explore((), 0)
+        explore(())
     else:
-        for zero_idx in itertools.combinations(range(n), d - 1):
-            explore(zero_idx, 0)
+        combos = itertools.combinations(range(n), d - 1)
+        while block := list(itertools.islice(combos, _CHUNK)):
+            # The rank rule of _nullspace_of_rows, one stacked SVD per block.
+            _, s, vh = np.linalg.svd(b[np.array(block)])
+            ranks = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1).tolist()
+            for zero_idx, rank, direction in zip(block, ranks, vh[:, d - 1]):
+                if rank == d - 1:
+                    visit()
+                    emit(direction, zero_idx)
+                else:
+                    explore(zero_idx)
 
-    unique: list[np.ndarray] = []
+    # Greedy dedupe: each candidate is compared with every kept direction at
+    # once.  They are stored as columns, so the max over coordinates runs
+    # across rows.
+    kept = np.empty((n, len(directions)))
+    count = 0
     for v in directions:
-        if not any(float(np.max(np.abs(v - u))) <= _DEDUPE_TOL for u in unique):
-            unique.append(v)
-    half = np.array(unique)
-    return VertexSet(np.vstack([half, -half]), degenerate)
+        gaps = np.abs(kept[:, :count] - v[:, None]).max(axis=0)
+        if float(gaps.min(initial=np.inf)) <= _DEDUPE_TOL:
+            continue
+        kept[:, count] = v
+        count += 1
+    half = kept[:, :count].T
+    return VertexSet(np.vstack([half, -half]), degenerate_sets > 0, zero_sets, degenerate_sets)
 
 
 def _topk_masses(vertices: np.ndarray, k: int) -> np.ndarray:
@@ -283,6 +320,7 @@ def check_nsp(phi, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
     """
     phi = as_matrix(phi)
     _validate_order(phi, k)
+    _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
     basis = kernel_basis(phi)
     if basis.shape[1] == 0:
         return NspReport(True, k, True, None, None, None)
@@ -302,6 +340,7 @@ def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport
     phi = as_matrix(phi)
     _validate_order(phi, k)
     w = as_weights(weights, phi.shape[1])
+    _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
     basis = kernel_basis(phi)
     if basis.shape[1] == 0:
         return NspReport(True, k, True, None, None, None)
@@ -420,7 +459,7 @@ def compute_ric(phi, k: int, *, max_subsets: int = 10**6) -> RicValue:
     _validate_order(phi, k)
     n = phi.shape[1]
     required = math.comb(n, k)
-    if required > max_subsets:
+    if required > _as_cap(max_subsets, "max_subsets"):
         raise EnumerationCapExceeded(required, max_subsets, what=f"size-{k} column subsets")
     gram = phi.T @ phi
     eye = np.eye(k)
@@ -454,7 +493,7 @@ def compute_roc(phi, k1: int, k2: int, *, max_pairs: int = 10**6) -> RocValue:
     if k1 < 1 or k2 < 1 or k1 + k2 > n:
         raise ValueError(f"need k1, k2 >= 1 with k1 + k2 <= {n}, got ({k1}, {k2})")
     required = math.comb(n, k1) * math.comb(n - k1, k2)
-    if required > max_pairs:
+    if required > _as_cap(max_pairs, "max_pairs"):
         raise EnumerationCapExceeded(required, max_pairs, what="disjoint support pairs")
     gram = phi.T @ phi
 

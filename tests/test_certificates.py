@@ -1,6 +1,7 @@
 """Exact certificates: kernel vertex enumeration, NSP/WNSP, dominant support,
 gamma intervals, exact RIC/ROC, bound formulas, LP oracle."""
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -101,6 +102,133 @@ class TestVertexEnumeration:
                 sampled_max = float(mags[:, :k].sum(axis=1).max())
                 assert vertex_max >= sampled_max - 1e-12
                 assert vertex_max == pytest.approx(sampled_max, abs=1e-3)
+
+    def test_counters_on_a_generic_kernel(self):
+        basis = kernel_basis(np.random.default_rng(31).standard_normal((8, 12)))
+        vs = l1ball_section_vertices(basis)
+        assert (vs.zero_sets, vs.degenerate_sets) == (math.comb(12, 3), 0)
+
+    def test_kernel_on_zero_columns(self):
+        # The kernel is span{e4, e5}: every base zero set {j}, j < 3, meets it
+        # in dimension 2, and the recursion emits e5 or e4 once one of the
+        # last two coordinates is forced to zero as well.
+        phi = np.hstack([np.eye(3), np.zeros((3, 2))])
+        vs = l1ball_section_vertices(kernel_basis(phi))
+        assert vs.had_degenerate_zero_set
+        assert vs.vertices.shape == (4, 5)
+        for j in (3, 4):
+            assert _contains_vertex(vs.vertices, np.eye(5)[j])
+        assert vs.degenerate_sets >= 3
+        assert vs.zero_sets > vs.degenerate_sets
+
+    def test_degenerate_recursion_counts_against_the_cap(self):
+        phi = np.hstack([np.eye(12), np.zeros((12, 2))])
+        basis = kernel_basis(phi)
+        with pytest.raises(EnumerationCapExceeded) as err:
+            l1ball_section_vertices(basis, max_zero_sets=100)
+        assert err.value.cap == 100
+        assert err.value.required == 101
+        assert "degenerate recursion" in str(err.value)
+
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.0, None])
+    def test_cap_must_be_a_positive_integer(self, ex2_phi, cap):
+        basis = kernel_basis(ex2_phi)
+        with pytest.raises(ValueError, match="max_zero_sets"):
+            l1ball_section_vertices(basis, max_zero_sets=cap)
+        with pytest.raises(ValueError, match="max_zero_sets"):
+            check_nsp(np.eye(3), 1, max_zero_sets=cap)  # trivial kernel, no enumeration
+
+
+def _reference_nullspace_of_rows(rows, width):
+    if rows.shape[0] == 0:
+        return np.eye(width)
+    _, s, vh = np.linalg.svd(rows)
+    tol = 1e-10 * float(s[0]) * max(rows.shape)
+    return vh[int(np.count_nonzero(s > tol)):].T
+
+
+def _reference_vertices(basis):
+    """The vertex enumeration as written with one SVD per zero set and a
+    pairwise dedupe: ``(vertices, had_degenerate_zero_set)``."""
+    n, d = basis.shape
+    directions = []
+    degenerate = False
+    visited = set()
+
+    def emit(direction, zero_idx):
+        v = basis @ direction
+        if zero_idx:
+            v[list(zero_idx)] = 0.0
+        v = v / float(np.abs(v).sum())
+        first = int(np.argmax(np.abs(v) > 1e-9))
+        if v[first] < 0.0:
+            v = -v
+        directions.append(v)
+
+    def explore(zero_idx):
+        nonlocal degenerate
+        if zero_idx in visited:
+            return
+        visited.add(zero_idx)
+        ns = _reference_nullspace_of_rows(basis[list(zero_idx), :], d)
+        if ns.shape[1] == 1:
+            emit(ns[:, 0], zero_idx)
+        elif ns.shape[1] > 1:
+            degenerate = True
+            for j in range(n):
+                if j not in zero_idx:
+                    explore(tuple(sorted(zero_idx + (j,))))
+
+    for zero_idx in itertools.combinations(range(n), d - 1):
+        explore(zero_idx)
+    unique = []
+    for v in directions:
+        if not any(float(np.max(np.abs(v - u))) <= 1e-9 for u in unique):
+            unique.append(v)
+    half = np.array(unique)
+    return np.vstack([half, -half]), degenerate
+
+
+class TestVertexReference:
+    @staticmethod
+    def _matrices(ex1_phi, ex2_phi):
+        yield ex1_phi
+        yield ex2_phi
+        rng = np.random.default_rng(31)
+        yield rng.standard_normal((6, 10))
+        yield rng.standard_normal((8, 12))
+        for low, high in ((-2, 3), (0, 2)):  # integer entries take the degenerate path
+            for _ in range(4):
+                yield rng.integers(low, high, size=(4, 8)).astype(float)
+        duplicated = rng.standard_normal((5, 9))
+        duplicated[:, 4] = duplicated[:, 1]
+        yield duplicated
+        tiny = rng.standard_normal((4, 8))
+        tiny[:, 5:7] = 1e-9 * rng.standard_normal((4, 2))  # the dedupe merges candidates
+        yield tiny
+        yield rng.standard_normal((5, 6))  # d == 1
+        yield np.zeros((3, 5))  # d == n
+
+    def test_bitwise_equal_to_per_zero_set_svds(self, ex1_phi, ex2_phi):
+        degenerate = 0
+        for case, phi in enumerate(self._matrices(ex1_phi, ex2_phi)):
+            basis = kernel_basis(phi)
+            got = l1ball_section_vertices(basis)
+            want, want_degenerate = _reference_vertices(basis)
+            assert got.vertices.shape == want.shape, case
+            assert got.vertices.tobytes() == want.tobytes(), case
+            assert got.had_degenerate_zero_set == want_degenerate, case
+            assert got.had_degenerate_zero_set == (got.degenerate_sets > 0), case
+            degenerate += want_degenerate
+        assert degenerate >= 5
+
+    def test_chunk_boundary(self, monkeypatch):
+        basis = kernel_basis(np.random.default_rng(31).standard_normal((8, 12)))
+        want = l1ball_section_vertices(basis)
+        monkeypatch.setattr(certificates, "_CHUNK", 7)  # 220 zero sets: 31 full blocks and 3
+        got = l1ball_section_vertices(basis)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.zero_sets == want.zero_sets
 
 
 class TestNsp:
@@ -335,6 +463,11 @@ class TestRic:
         assert err.value.cap == 5
         assert "10" in str(err.value)
 
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.0])
+    def test_cap_must_be_a_positive_integer(self, ex2_phi, cap):
+        with pytest.raises(ValueError, match="max_subsets"):
+            compute_ric(ex2_phi, 2, max_subsets=cap)
+
 
 class TestRoc:
     def test_reference_value(self, ex1_phi):
@@ -365,6 +498,11 @@ class TestRoc:
     def test_cap_refusal(self, ex2_phi):
         with pytest.raises(EnumerationCapExceeded):
             compute_roc(ex2_phi, 1, 1, max_pairs=3)
+
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.0])
+    def test_cap_must_be_a_positive_integer(self, ex2_phi, cap):
+        with pytest.raises(ValueError, match="max_pairs"):
+            compute_roc(ex2_phi, 1, 1, max_pairs=cap)
 
 
 class TestRicRocInequalities:

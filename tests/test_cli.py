@@ -168,6 +168,32 @@ class TestCertifyCommand:
         assert code == 3
         assert "refused:" in err
 
+    def test_kernel_on_zero_columns(self, tmp_path, capsys):
+        path = tmp_path / "zero_columns.txt"
+        write_matrix(path, np.hstack([np.eye(3), np.zeros((3, 2))]))
+        code = main(["certify", str(path), "-k", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "NSP order 1: FAIL (mass 1 on {5}" in out
+        assert "unique: no" in out
+
+    def test_degenerate_recursion_refused_at_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "zero_columns.txt"
+        write_matrix(path, np.hstack([np.eye(12), np.zeros((12, 2))]))
+        code = main(["certify", str(path), "-k", "1", "--cap", "100"])
+        assert code == 3
+        assert "refused:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_an_input_error(self, ex2_paths, capsys, monkeypatch, cap):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("vertices enumerated with a cap below 1")
+
+        monkeypatch.setattr(certificates, "l1ball_section_vertices", unexpected)
+        code = main(["certify", ex2_paths[0], "-k", "1", "--cap", cap])
+        assert code == 1
+        assert f"max_zero_sets must be at least 1, got {cap}" in capsys.readouterr().err
+
     def test_fractional_budget_order_rejected(self, ex1_paths, capsys):
         code = main(["certify", ex1_paths[0], "-k", "1", "--ric-budget", "2.5"])
         assert code == 1
@@ -253,6 +279,15 @@ class TestRicCommand:
         code = main(["ric", ex2_paths[0], "-k", "2", "--cap", "5"])
         assert code == 3
         assert "refused:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_an_input_error(self, ex2_paths, capsys, cap):
+        code = main(["ric", ex2_paths[0], "-k", "2", "--cap", cap])
+        assert code == 1
+        assert f"max_subsets must be at least 1, got {cap}" in capsys.readouterr().err
+        code = main(["ric", ex2_paths[0], "-k", "1", "--roc", "1", "1", "--cap", cap])
+        assert code == 1
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestTablesCommand:
