@@ -190,11 +190,13 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     coordinates, so candidates come from forcing each ``(d-1)``-subset of
     coordinates to zero and normalizing the remaining direction.  The base
     zero sets are solved in blocks of ``_CHUNK`` with one stacked SVD each.
-    Zero sets that meet the subspace in dimension above one recurse with one
-    more forced zero (flagged in the output); the recursion ends because
-    forcing every coordinate leaves dimension 0.  Refuses upfront when the
-    count of base zero sets, ``C(n, d-1)``, exceeds ``max_zero_sets``, and
-    during the recursion once the visited zero sets exceed it.
+    A zero set that meets the subspace in dimension above one (flagged in
+    the output) is closed under the coordinates that vanish on that piece,
+    and each closure recurses once, with one more forced zero; the
+    recursion ends because forcing every coordinate leaves dimension 0.
+    Refuses upfront when the count of base zero sets, ``C(n, d-1)``,
+    exceeds ``max_zero_sets``, and during the recursion once the visited
+    zero sets exceed it.
     """
     max_zero_sets = _as_cap(max_zero_sets, "max_zero_sets")
     b = np.asarray(basis, dtype=float)
@@ -211,6 +213,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
 
     directions: list[np.ndarray] = []
     visited: set[tuple[int, ...]] = set()
+    closures: set[tuple[int, ...]] = set()
     zero_sets = 0
     degenerate_sets = 0
 
@@ -246,10 +249,19 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
             emit(ns[:, 0], zero_idx)
             return
         degenerate_sets += 1
-        present = set(zero_idx)
+        # A coordinate that vanishes on the whole piece is zero already, and
+        # forcing it adds nothing, so all of them are forced at once.  The
+        # test is the rank rule's for the zero set with that coordinate
+        # added (the rows of ``b @ ns`` are its new components, of norm <= 1).
+        vanish = np.linalg.norm(b @ ns, axis=1) <= 1e-10 * max(len(zero_idx) + 1, d)
+        closure = tuple(sorted(set(zero_idx).union(np.flatnonzero(vanish).tolist())))
+        if closure in closures:
+            return
+        closures.add(closure)
+        present = set(closure)
         for j in range(n):
             if j not in present:
-                explore(tuple(sorted(zero_idx + (j,))))
+                explore(tuple(sorted(closure + (j,))))
 
     if d == 1:
         explore(())
@@ -698,21 +710,143 @@ def _simplex_solve(a: np.ndarray, rhs: np.ndarray, costs: np.ndarray) -> np.ndar
     return z
 
 
+def _pow2_scale(v: np.ndarray) -> float:
+    """The power of two that brings ``max|v|`` nearest to 1 (1 for zero ``v``)."""
+    top = float(np.abs(v).max(initial=0.0))
+    return 2.0 ** -round(math.log2(top)) if top > 0.0 else 1.0
+
+
+def _simplex_l1(phi: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The split LP ``min w.(u + v) s.t. phi(u - v) = b, u, v >= 0`` by the
+    simplex, on ``phi`` and ``b`` each scaled by a power of two.
+
+    The simplex's tolerances are absolute, so the scaling makes its answer
+    covariant under ``phi, b -> s phi, s b``; powers of two scale exactly.
+    """
+    n = phi.shape[1]
+    phi_scale, b_scale = _pow2_scale(phi), _pow2_scale(b)
+    a = np.hstack([phi, -phi]) * phi_scale
+    z = _simplex_solve(a, b * b_scale, np.concatenate([w, w]))
+    return (z[:n] - z[n:]) * (phi_scale / b_scale)
+
+
+# Path events at or below this fraction of the current penalty are rounding
+# noise; an event within this window of the penalty ends the path.
+_EVENT_FLOOR = 1e-13
+_PATH_END = 1e-9
+# Strict dual slack the certificate demands off the final support.
+_DUAL_SLACK = 1e-9
+
+
+def _homotopy(phi: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """The weighted l1 minimizer by homotopy, or ``None`` when uncertified.
+
+    Follows the minimizers of ``1/2 ||b - phi x||^2 + mu sum_i w_i |x_i|``
+    from ``mu0 = max_j |phi_j.b| / w_j`` down to 0 (Donoho & Tsaig 2008).
+    On the active set ``S`` with signs ``s`` the path is
+    ``x_S(mu) = z - mu d`` with ``A_S^T A_S z = A_S^T b`` and
+    ``A_S^T A_S d = w_S o s``; it bends where an inactive correlation
+    reaches ``mu w_j`` or an active entry crosses zero.  With ``m`` active
+    columns the residual is ``mu A_S d``, so no column joins before
+    ``mu = 0`` and the active set never exceeds ``m``.  It gives up (returns
+    ``None``) after ``4(m + n)`` steps or on a singular system.
+
+    At ``mu = 0`` the final set ``E`` is certified (Fuchs 2004).  Let ``y``
+    be the least-norm solution of ``A_E^T y = w_E o s_E``; if ``|phi_j.y| <
+    w_j`` strictly off ``E``, complementary slackness with ``y`` puts every
+    LP optimum on ``E`` with signs ``s_E``, so it solves ``A_E x_E = b``.
+    Full column rank of ``A_E`` makes that solution unique, so
+    ``x_E = lstsq(A_E, b)`` is the LP's unique optimum (the vertex the
+    simplex reaches, up to its rounding) once it is feasible and carries
+    the signs ``s_E``.  Every test is relative to the data.
+    """
+    m, n = phi.shape
+    c = phi.T @ b
+    j = int(np.argmax(np.abs(c) / w))
+    mu = float(np.abs(c[j]) / w[j])
+    if mu == 0.0:  # phi^T b = 0: only b = 0 is feasible, with unique optimum 0
+        return None if b.any() else np.zeros(n)
+    active, signs = [j], [float(np.sign(c[j]))]
+    inf = np.inf
+    try:
+        for _ in range(4 * (m + n)):
+            a_s = phi[:, active]
+            ws = w[active] * signs
+            z, d = np.linalg.solve(a_s.T @ a_s, np.column_stack([a_s.T @ b, ws])).T
+            x_s = z - mu * d
+            c = phi.T @ (b - a_s @ x_s)
+            a = phi.T @ (a_s @ d)
+            floor = _EVENT_FLOOR * mu
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = np.where(w > a, (mu * w - c) / (w - a), inf)
+                down = np.where(w > -a, (mu * w + c) / (w + a), inf)
+                cross = np.where(d * ws < 0.0, -x_s / d, inf)
+            up[active] = down[active] = inf
+            if len(active) == m:
+                # A square A_S leaves the residual mu A_S d: every inactive
+                # correlation is mu a_j, so every join comes at mu = 0.
+                up[:] = down[:] = inf
+            events = np.concatenate([up, down, cross])
+            events[~(events > floor)] = inf
+            k = int(np.argmin(events))
+            gamma = float(events[k])
+            if gamma >= mu * (1.0 - _PATH_END):
+                break  # the last segment reaches mu = 0
+            mu -= gamma
+            if k < 2 * n:
+                active.append(k % n)
+                signs.append(1.0 if k < n else -1.0)
+            else:
+                del active[k - 2 * n], signs[k - 2 * n]
+        else:
+            return None
+        return _certified(phi, b, w, active, np.array(signs))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _certified(phi, b, w, support: list[int], signs: np.ndarray) -> np.ndarray | None:
+    """``x`` supported on ``support`` if the certificate of ``_homotopy``
+    proves it the unique LP optimum, else ``None``."""
+    a_e = phi[:, support]
+    v = w[support] * signs
+    if _nullspace_of_rows(a_e, len(support)).shape[1]:
+        return None  # A_E is rank-deficient
+    y = np.linalg.lstsq(a_e.T, v, rcond=None)[0]
+    if float(np.abs(a_e.T @ y - v).max()) > 1e-10 * float(np.abs(v).max()):
+        return None
+    off = np.ones(phi.shape[1], dtype=bool)
+    off[support] = False
+    if np.any(np.abs(phi[:, off].T @ y) >= w[off] * (1.0 - _DUAL_SLACK)):
+        return None
+    x_e = np.linalg.lstsq(a_e, b, rcond=None)[0]
+    x_e[np.abs(x_e) <= 1e-12 * float(np.abs(x_e).max())] = 0.0  # rounding level
+    if np.any(x_e * signs < 0.0):
+        return None
+    x = np.zeros(phi.shape[1])
+    x[support] = x_e
+    scale = float(np.abs(phi).max()) * float(np.abs(x).sum()) + float(np.abs(b).max())
+    if float(np.abs(phi @ x - b).max()) > 1e-12 * scale:
+        return None
+    return x
+
+
 def l1_min_exact(phi, b, weights=None) -> np.ndarray:
     """Exact minimizer of ``sum_i w_i |x_i|`` subject to ``phi x = b``.
 
-    Solved as the split LP ``min w.(u + v) s.t. phi(u - v) = b, u, v >= 0``
-    with a self-contained two-phase simplex under Bland's anti-cycling rule,
-    so the returned point is always a vertex of the solution polytope.
-    Raises :class:`InfeasibleSystem` when no solution exists.
+    A weighted homotopy answers first when its certificate proves its point
+    the LP's unique optimum (see ``_homotopy``).  Every other input goes to
+    the split LP ``min w.(u + v) s.t. phi(u - v) = b, u, v >= 0``, solved
+    on power-of-two scaled data by a self-contained two-phase simplex under
+    Bland's anti-cycling rule, so the returned point is always a vertex of
+    the solution polytope.  Raises :class:`InfeasibleSystem` when no
+    solution exists.
     """
     phi, b = as_system(phi, b)
     n = phi.shape[1]
     w = np.ones(n) if weights is None else as_weights(weights, n)
-    a = np.hstack([phi, -phi])
-    costs = np.concatenate([w, w])
-    z = _simplex_solve(a, b, costs)
-    return z[:n] - z[n:]
+    x = _homotopy(phi, b, w)
+    return _simplex_l1(phi, b, w) if x is None else x
 
 
 def recovery_trial(phi, weights, k: int, trials: int, seed: int) -> float:

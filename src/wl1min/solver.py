@@ -16,6 +16,8 @@ The final stage's iterate is the solver's answer.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -239,15 +241,43 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     r = phi @ x - b
     objectives = [0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x)))]
     step = float("nan")
+    # The loop computes exactly the floats of the expressions above, in
+    # preallocated buffers: ``mag`` is both ``max(|v| - t, 0)`` and
+    # ``|x_next|``, and a 1-d norm is ``sqrt(x . x)`` as in np.linalg.norm.
+    # ``ndarray.dot`` makes ``@``'s BLAS call on a C- or F-ordered matrix at
+    # less overhead; other layouts keep ``@``.  ``bound`` stays at or above
+    # the computed ``||x||`` (the triangle inequality, widened by ``grow``
+    # for rounding), so ``||x||`` is computed only when the stop test could
+    # come out true.
+    if phi.flags.c_contiguous or phi.flags.f_contiguous:
+        fwd, adj = phi.dot, phi.T.dot
+    else:
+        fwd, adj = functools.partial(np.matmul, phi), functools.partial(np.matmul, phi.T)
+    g, sgn, mag, x_next, tmp = (np.empty(n) for _ in range(5))
+    add_reduce, sqrt = np.add.reduce, math.sqrt
+    grow = 1.0 + 8.0 * (n + 2) * np.finfo(float).eps
+    bound = sqrt(x.dot(x))
     for it in range(1, cap + 1):
-        x_next = _shrink(x - (phi.T @ r) / L, thresholds)
-        step = float(np.linalg.norm(x_next - x))
-        r = phi @ x_next - b
-        objectives.append(0.5 * float(r @ r) + mu * float(np.sum(weights * np.abs(x_next))))
-        stop = step < eta * max(1.0, float(np.linalg.norm(x))) or step == 0.0
-        x = x_next
-        if stop:
-            return x, InnerResult(it, step, True, objectives)
+        adj(r, out=g)
+        g /= L
+        np.subtract(x, g, out=g)
+        np.sign(g, out=sgn)
+        np.abs(g, out=mag)
+        mag -= thresholds
+        np.maximum(mag, 0.0, out=mag)
+        np.multiply(sgn, mag, out=x_next)
+        np.subtract(x_next, x, out=tmp)
+        step = sqrt(tmp.dot(tmp))
+        fwd(x_next, out=r)
+        r -= b
+        np.multiply(weights, mag, out=tmp)
+        objectives.append(0.5 * float(r.dot(r)) + mu * float(add_reduce(tmp)))
+        if step < eta * max(1.0, bound) or step == 0.0:
+            bound = sqrt(x.dot(x))
+            if step < eta * max(1.0, bound) or step == 0.0:
+                return x_next, InnerResult(it, step, True, objectives)
+        bound = (bound + step) * grow
+        x, x_next = x_next, x
     return x, InnerResult(cap, step, False, objectives)
 
 

@@ -122,13 +122,25 @@ class TestVertexEnumeration:
         assert vs.zero_sets > vs.degenerate_sets
 
     def test_degenerate_recursion_counts_against_the_cap(self):
-        phi = np.hstack([np.eye(12), np.zeros((12, 2))])
-        basis = kernel_basis(phi)
+        # C(14, 2) = 91 base zero sets fit the cap; the one degenerate pair
+        # {0, 1} spawns twelve more.
+        basis = kernel_basis(_tied_pair_phi())
+        assert l1ball_section_vertices(basis).zero_sets == 103
         with pytest.raises(EnumerationCapExceeded) as err:
             l1ball_section_vertices(basis, max_zero_sets=100)
         assert err.value.cap == 100
         assert err.value.required == 101
         assert "degenerate recursion" in str(err.value)
+
+    def test_degenerate_zero_sets_collapse_to_their_closure(self):
+        # Every base zero set {j}, j < 16, meets the kernel span{e16, e17} in
+        # dimension 2 and vanishes on coordinates 0-15; forcing them all at
+        # once leaves two children, where one zero at a time took 196,607.
+        vs = l1ball_section_vertices(kernel_basis(np.hstack([np.eye(16), np.zeros((16, 2))])))
+        assert (vs.zero_sets, vs.degenerate_sets) == (20, 16)
+        assert vs.vertices.shape == (4, 18)
+        for j in (16, 17):
+            assert _contains_vertex(vs.vertices, np.eye(18)[j])
 
     @pytest.mark.parametrize("cap", [0, -5, True, 2.0, None])
     def test_cap_must_be_a_positive_integer(self, ex2_phi, cap):
@@ -139,6 +151,14 @@ class TestVertexEnumeration:
             check_nsp(np.eye(3), 1, max_zero_sets=cap)  # trivial kernel, no enumeration
 
 
+def _tied_pair_phi():
+    """An 11x14 matrix whose kernel satisfies ``h_0 = h_1``: the zero set
+    {0, 1} is the only degenerate one, and forcing it vanishes on nothing
+    else."""
+    rng = np.random.default_rng(12)
+    return np.vstack([np.eye(1, 14, 0) - np.eye(1, 14, 1), rng.standard_normal((10, 14))])
+
+
 def _reference_nullspace_of_rows(rows, width):
     if rows.shape[0] == 0:
         return np.eye(width)
@@ -147,13 +167,15 @@ def _reference_nullspace_of_rows(rows, width):
     return vh[int(np.count_nonzero(s > tol)):].T
 
 
-def _reference_vertices(basis):
+def _reference_vertices(basis, closure=True):
     """The vertex enumeration as written with one SVD per zero set and a
-    pairwise dedupe: ``(vertices, had_degenerate_zero_set)``."""
+    pairwise dedupe: ``(vertices, had_degenerate_zero_set)``.  Without
+    ``closure`` a degenerate zero set recurses one forced zero at a time."""
     n, d = basis.shape
     directions = []
     degenerate = False
     visited = set()
+    closures = set()
 
     def emit(direction, zero_idx):
         v = basis @ direction
@@ -175,6 +197,14 @@ def _reference_vertices(basis):
             emit(ns[:, 0], zero_idx)
         elif ns.shape[1] > 1:
             degenerate = True
+            if closure:
+                section = basis @ ns
+                tol = 1e-10 * max(len(zero_idx) + 1, d)
+                vanish = [j for j in range(n) if np.linalg.norm(section[j]) <= tol]
+                zero_idx = tuple(sorted(set(zero_idx) | set(vanish)))
+                if zero_idx in closures:
+                    return
+                closures.add(zero_idx)
             for j in range(n):
                 if j not in zero_idx:
                     explore(tuple(sorted(zero_idx + (j,))))
@@ -220,6 +250,15 @@ class TestVertexReference:
             assert got.had_degenerate_zero_set == want_degenerate, case
             assert got.had_degenerate_zero_set == (got.degenerate_sets > 0), case
             degenerate += want_degenerate
+
+            # One forced zero at a time reaches the same vertices, up to the
+            # dedupe tolerance; ill-conditioned inputs can leave it extra
+            # near-duplicates.
+            unclosed, _ = _reference_vertices(basis, closure=False)
+            for v in unclosed:
+                assert _contains_vertex(got.vertices, v), case
+            for v in got.vertices:
+                assert _contains_vertex(unclosed, v), case
         assert degenerate >= 5
 
     def test_chunk_boundary(self, monkeypatch):
@@ -727,9 +766,17 @@ def _oracle_problem(seed, i, m=32, n=128, k=5):
     return phi, phi @ x0, weights, x0
 
 
-def _assert_oracle_answer(phi, b, weights, x0):
+def _simplex_x(phi, b, weights=None):
+    """The split LP solved by ``_simplex_solve`` on the unscaled data."""
+    n = phi.shape[1]
+    w = np.ones(n) if weights is None else weights
+    z = certificates._simplex_solve(np.hstack([phi, -phi]), b, np.concatenate([w, w]))
+    return z[:n] - z[n:]
+
+
+def _assert_oracle_answer(phi, b, weights, x0, solve=l1_min_exact):
     """``x`` solves ``phi x = b`` and costs no more than the planted ``x0``."""
-    x = l1_min_exact(phi, b, weights)
+    x = solve(phi, b, weights)
     w = np.ones(phi.shape[1]) if weights is None else weights
     scale = float(np.abs(phi).max()) * float(np.abs(x).sum()) + float(np.abs(b).max())
     assert float(np.abs(phi @ x - b).max()) <= 1e-9 * scale
@@ -754,11 +801,11 @@ class TestPivotReference:
 
     def test_bitwise_equal_to_row_by_row_pivots(self, ex1_phi, ex1_b, ex2_phi, ex2_b, monkeypatch):
         problems = list(self._problems(ex1_phi, ex1_b, ex2_phi, ex2_b))
-        got = [l1_min_exact(*p) for p in problems]
+        got = [_simplex_x(*p) for p in problems]
         monkeypatch.setattr(certificates, "_pivot", _reference_pivot)
         monkeypatch.setattr(certificates, "_pivot_loop", _reference_pivot_loop)
         for case, (p, x) in enumerate(zip(problems, got)):
-            want = l1_min_exact(*p)
+            want = _simplex_x(*p)
             assert x.tobytes() == want.tobytes(), case
 
 
@@ -801,25 +848,113 @@ class TestOracleRegressions:
         # Phase 1 ends with twenty eligible columns that have no positive
         # entry and reduced costs below 2e-14 of their largest entry (up to
         # 1e5): rounding noise, not rays.
-        _assert_oracle_answer(*_oracle_problem(5, 85))
+        _assert_oracle_answer(*_oracle_problem(5, 85), solve=_simplex_x)
 
     def test_no_cycling(self):
         # The tolerant ratio test revisits the basis of phase-2 pivot 1308 at
         # pivot 1438, and without exact ties cycles until the pivot cap.
-        _assert_oracle_answer(*_oracle_problem(2, 202))
+        _assert_oracle_answer(*_oracle_problem(2, 202), solve=_simplex_x)
+
+
+def _assert_agrees_with_simplex(x, phi, b, weights):
+    want = _simplex_x(phi, b, weights)
+    assert float(np.abs(x - want).max()) <= 1e-9 * max(1.0, float(np.abs(x).max()))
+
+
+class TestHomotopy:
+    @staticmethod
+    def _problems():
+        for m, n, k in ((16, 64, 3), (32, 128, 5)):
+            for i in range(12):  # odd ops are weighted
+                phi, b, weights, _ = _oracle_problem(11, i, m, n, k)
+                yield phi, b, np.ones(n) if weights is None else weights
+        rng = np.random.default_rng(601)
+        for i in range(8):  # the C6 shapes: 6x10, 1- and 2-sparse
+            phi = rng.standard_normal((6, 10))
+            w = np.ones(10) if i % 2 == 0 else rng.uniform(0.4, 1.0, 10)
+            x0 = np.zeros(10)
+            x0[rng.choice(10, size=1 + i % 2, replace=False)] = rng.standard_normal(1 + i % 2)
+            yield phi, phi @ x0, w
+
+    def test_certified_answers_agree_with_the_simplex(self):
+        problems = list(self._problems())
+        certified = 0
+        for phi, b, w in problems:
+            x = certificates._homotopy(phi, b, w)
+            if x is not None:
+                certified += 1
+                _assert_agrees_with_simplex(x, phi, b, w)
+                assert l1_min_exact(phi, b, w).tobytes() == x.tobytes()
+        assert certified >= 0.9 * len(problems)
+
+    def test_tied_columns_decline(self):
+        # Every point of [0, 1] e0 + [0, 1] e1 on x0 + x1 = 1 is optimal.
+        phi, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        assert certificates._homotopy(phi, b, np.ones(2)) is None
+        assert np.array_equal(l1_min_exact(phi, b), [1.0, 0.0])
+
+    def test_infeasible_system_declines(self):
+        phi, b = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])
+        assert certificates._homotopy(phi, b, np.ones(2)) is None
+        with pytest.raises(InfeasibleSystem):
+            l1_min_exact(phi, b)
+
+    def test_zero_rhs_gives_exact_zeros(self):
+        phi = np.random.default_rng(3).standard_normal((4, 7))
+        x = certificates._homotopy(phi, np.zeros(4), np.ones(7))
+        assert x.tobytes() == np.zeros(7).tobytes()
+
+    def test_redundant_rows(self):
+        phi = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
+        b = np.array([1.0, 2.0, 1.0])
+        x = certificates._homotopy(phi, b, np.ones(3))
+        assert np.abs(x - np.array([0.0, 1 / 3, 2 / 3])).max() <= 1e-15
+        _assert_agrees_with_simplex(x, phi, b, None)
+
+    def test_scale_covariant(self, ex2_phi, ex2_b):
+        want = np.array([1 / 3, -0.5, 0.0, 0.0, 0.0])
+        for s in (1.0, 1e-9, 1e-12, 1e12):
+            x = certificates._homotopy(s * ex2_phi, s * ex2_b, np.ones(5))
+            assert np.abs(x - want).max() <= 1e-14, s
+
+
+class TestScaledSimplex:
+    # Both inputs make the homotopy decline, so the simplex answers them.
+    @pytest.mark.parametrize("s", [1.0, 1e-9, 1e-12, 1e9])
+    def test_tied_columns_at_any_scale(self, s):
+        assert np.array_equal(l1_min_exact(s * np.array([[1.0, 1.0]]), s * np.array([1.0])),
+                              [1.0, 0.0])
+
+    def test_tiny_infeasible_system_raises(self):
+        with pytest.raises(InfeasibleSystem):
+            l1_min_exact(np.array([[1.0, 1.0], [1.0, 1.0]]), 1e-9 * np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("s", [2.0**-30, 1e-9, 1e9, 2.0**30])
+    def test_degenerate_example_at_any_scale(self, ex1_phi, ex1_b, s):
+        want = l1_min_exact(ex1_phi, ex1_b)
+        assert np.abs(l1_min_exact(s * ex1_phi, s * ex1_b) - want).max() <= 1e-12
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_SLOW"), reason="set RUN_SLOW=1 to run the LP sweep")
 def test_oracle_sweep():
     # The inputs long benchmark runs reach: ops 0-249 of the recipe at seeds 1-8.
     failed = []
+    certified = total = 0
     for seed in range(1, 9):
         for i in range(250):
+            phi, b, weights, x0 = _oracle_problem(seed, i)
+            total += 1
             try:
-                _assert_oracle_answer(*_oracle_problem(seed, i))
+                _assert_oracle_answer(phi, b, weights, x0)
+                w = np.ones(phi.shape[1]) if weights is None else weights
+                x = certificates._homotopy(phi, b, w)
+                if x is not None:
+                    certified += 1
+                    _assert_agrees_with_simplex(x, phi, b, weights)
             except (AssertionError, RuntimeError) as exc:
                 failed.append(f"seed {seed} op {i}: {exc}")
     assert not failed, "; ".join(failed)
+    assert certified >= 0.95 * total, f"{certified} of {total} certified"
 
 
 class TestRecoveryTrial:

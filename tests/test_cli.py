@@ -178,8 +178,12 @@ class TestCertifyCommand:
         assert "unique: no" in out
 
     def test_degenerate_recursion_refused_at_the_cap(self, tmp_path, capsys):
-        path = tmp_path / "zero_columns.txt"
-        write_matrix(path, np.hstack([np.eye(12), np.zeros((12, 2))]))
+        path = tmp_path / "tied_pair.txt"
+        # The kernel satisfies h_0 = h_1: C(14, 2) = 91 base zero sets fit
+        # the cap, and the degenerate pair {0, 1} adds twelve more.
+        rng = np.random.default_rng(12)
+        write_matrix(path, np.vstack([np.eye(1, 14, 0) - np.eye(1, 14, 1),
+                                      rng.standard_normal((10, 14))]))
         code = main(["certify", str(path), "-k", "1", "--cap", "100"])
         assert code == 3
         assert "refused:" in capsys.readouterr().err

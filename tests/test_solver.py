@@ -180,12 +180,8 @@ def _reference_ista_loop(phi, b, weights, mu, L, x_init, eta, cap):
 
 
 class TestIstaLoopReference:
-    @pytest.mark.parametrize(
-        "shape, eta_factor, cap",
-        [(shape, eta, 5000) for shape in ((8, 16), (32, 128)) for eta in (1e-4, 1e-8, 0.0)]
-        + [((32, 128), 1e-8, 3)],
-    )
-    def test_bitwise_equal_to_validated_loop(self, shape, eta_factor, cap):
+    @staticmethod
+    def _compare(shape, eta_factor, cap, mu_factor=0.1):
         m, n = shape
         rng = np.random.default_rng(m * n)
         phi = rng.standard_normal(shape)
@@ -193,19 +189,56 @@ class TestIstaLoopReference:
         x0[rng.permutation(n)[: m // 4]] = rng.standard_normal(m // 4)
         b = phi @ x0
         w = rng.uniform(0.5, 1.0, n)
-        mu = 0.1 * float(np.abs(phi.T @ b).max())
+        mu = mu_factor * float(np.abs(phi.T @ b).max())
         L = 1.000001 * largest_gram_eigenvalue(phi)
         eta = eta_factor * mu
         x, inner = ista_stage(phi, b, w, mu, L, np.ones(n), eta, cap)
         want_x, iters, step, converged, objectives = _reference_ista_loop(
             phi, b, w, mu, L, np.ones(n), eta, cap)
-        assert np.array_equal(x, want_x)
+        assert x.tobytes() == want_x.tobytes()  # signed zeros included
         assert inner.objectives == objectives
         assert inner.iterations == iters
         assert inner.final_step_norm == step
         assert inner.converged == converged
+        return x, inner
+
+    @pytest.mark.parametrize(
+        "shape, eta_factor, cap",
+        [(shape, eta, 5000) for shape in ((8, 16), (32, 128)) for eta in (1e-4, 1e-8, 0.0)]
+        + [((32, 128), 1e-8, 3)],
+    )
+    def test_bitwise_equal_to_validated_loop(self, shape, eta_factor, cap):
+        _, inner = self._compare(shape, eta_factor, cap)
         if cap == 3:
-            assert iters == 3 and not converged
+            assert inner.iterations == 3 and not inner.converged
+
+    def test_large_matrix(self):
+        self._compare((128, 512), 1e-4, 5000)
+
+    def test_no_shrinkage_at_mu_zero(self):
+        self._compare((32, 128), 0.0, 2000, mu_factor=0.0)
+
+    @pytest.mark.parametrize("rows, cols", [(slice(None), slice(None, None, 2)),
+                                            (slice(None, None, 2), slice(None))])
+    def test_strided_matrix(self, rows, cols):
+        rng = np.random.default_rng(44)
+        phi = rng.standard_normal((64, 256))[rows, cols]
+        n = phi.shape[1]
+        b = phi[:, :4] @ rng.standard_normal(4)
+        w = rng.uniform(0.5, 1.0, n)
+        mu = 0.01 * float(np.abs(phi.T @ b).max())
+        L = 1.000001 * largest_gram_eigenvalue(phi)
+        x, inner = ista_stage(phi, b, w, mu, L, np.ones(n), 1e-6 * mu, 2000)
+        want_x, iters, _, _, objectives = _reference_ista_loop(
+            phi, b, w, mu, L, np.ones(n), 1e-6 * mu, 2000)
+        assert x.tobytes() == want_x.tobytes()
+        assert inner.objectives == objectives and inner.iterations == iters
+
+    def test_stage_ending_on_a_zero_step(self):
+        # 0 is optimal and eta is 0, so only an exactly repeated iterate stops it.
+        x, inner = self._compare((8, 16), 0.0, 5000, mu_factor=2.0)
+        assert inner.final_step_norm == 0.0 and inner.converged and inner.iterations < 5000
+        assert not np.any(x)
 
 
 class TestNullspaceWeights:
