@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linops import as_int, as_matrix, as_system, as_weights, kernel_basis
+from .linops import as_int, as_matrix, as_number, as_system, as_weights, kernel_basis
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -182,6 +182,63 @@ def _nullspace_of_rows(rows: np.ndarray, width: int) -> np.ndarray:
     return vh[rank:].T
 
 
+def _normalised(b: np.ndarray, directions: np.ndarray, zero_idx: np.ndarray) -> np.ndarray:
+    """Candidate vertices ``b @ direction``, one row per row of ``directions``.
+
+    The coordinates in the matching row of ``zero_idx`` are set to exact
+    zeros, each row is scaled to unit l1 norm, and its sign is fixed so that
+    the first entry above ``_DEDUPE_TOL`` is positive.  The stacked
+    matrix-vector products are bitwise those of ``b @ direction`` one row at
+    a time (a single GEMM would not be).
+    """
+    v = np.matmul(b[None], directions[:, :, None])[:, :, 0]
+    rows = np.arange(len(v))
+    v[rows[:, None], zero_idx] = 0.0  # exact zeros by construction
+    mass = np.abs(v).sum(axis=1)
+    if not mass.all():
+        raise ValueError("basis is rank-deficient: a kernel direction has zero l1 mass")
+    v /= mass[:, None]
+    flip = v[rows, (np.abs(v) > _DEDUPE_TOL).argmax(axis=1)] < 0.0
+    v[flip] = -v[flip]
+    return v
+
+
+def _dedupe(candidates: np.ndarray) -> np.ndarray:
+    """The candidates, in order, that lie farther than ``_DEDUPE_TOL`` in max
+    norm from every earlier candidate kept.
+
+    Two unit-l1 rows within ``_DEDUPE_TOL`` of each other have coordinate
+    sums within ``n * _DEDUPE_TOL``, plus ``2 n eps`` for the rounding of
+    the two sums.  So only a candidate whose window of sums holds another
+    candidate needs a check, and it is compared with the kept candidates of
+    its window that come before it: the comparisons that decide the greedy
+    scan over every kept candidate.  When all sums are equal, that scan is
+    what runs.
+    """
+    count, n = candidates.shape
+    sums = candidates.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    ranked = sums[order]
+    reach = n * (_DEDUPE_TOL + 2.0 * np.finfo(float).eps)
+    lo = np.searchsorted(ranked, sums - reach, "left")
+    hi = np.searchsorted(ranked, sums + reach, "right")
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    # Columns in order of their sums, so a window is a run of columns.  The
+    # kept crowded candidates fill in their columns of ``kept`` as the scan
+    # reaches them, and every other column stays infinitely far.
+    cols = np.ascontiguousarray(candidates[order].T)
+    kept = np.full((n, count), np.inf)
+    keep = np.ones(count, dtype=bool)
+    for i in np.flatnonzero(hi - lo > 1).tolist():
+        r = rank[i]
+        if np.abs(kept[:, lo[i] : hi[i]] - cols[:, r, None]).max(axis=0).min() <= _DEDUPE_TOL:
+            keep[i] = False
+        else:
+            kept[:, r] = cols[:, r]
+    return candidates[keep]
+
+
 def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     """Vertices of ``{h in span(basis) : ||h||_1 <= 1}``.
 
@@ -194,14 +251,19 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     the output) is closed under the coordinates that vanish on that piece,
     and each closure recurses once, with one more forced zero; the
     recursion ends because forcing every coordinate leaves dimension 0.
+    Its candidates take that zero set's place in combination order, which
+    the dedupe (first of near-equal candidates wins) depends on.
     Refuses upfront when the count of base zero sets, ``C(n, d-1)``,
     exceeds ``max_zero_sets``, and during the recursion once the visited
-    zero sets exceed it.
+    zero sets exceed it.  Raises ``ValueError`` on non-finite entries and
+    on a rank-deficient basis that yields a zero candidate.
     """
     max_zero_sets = _as_cap(max_zero_sets, "max_zero_sets")
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2:
         raise ValueError(f"basis must be 2-d, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("basis entries must be finite")
     n, d = b.shape
     if d == 0:
         return VertexSet(np.zeros((0, n)))
@@ -211,29 +273,22 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     if required > max_zero_sets:
         raise EnumerationCapExceeded(required, max_zero_sets, "kernel zero sets")
 
-    directions: list[np.ndarray] = []
+    pieces: list[np.ndarray] = []  # candidates, in combination order
     visited: set[tuple[int, ...]] = set()
     closures: set[tuple[int, ...]] = set()
     zero_sets = 0
     degenerate_sets = 0
 
-    def visit() -> None:
+    def visit(count: int = 1) -> None:
         nonlocal zero_sets
-        zero_sets += 1
+        zero_sets += count
         if zero_sets > max_zero_sets:
+            # The count passes the cap one zero set at a time, so at cap + 1.
             raise EnumerationCapExceeded(
-                zero_sets, max_zero_sets, "kernel zero sets, degenerate recursion included"
+                max_zero_sets + 1,
+                max_zero_sets,
+                "kernel zero sets, degenerate recursion included",
             )
-
-    def emit(direction: np.ndarray, zero_idx: tuple[int, ...]) -> None:
-        v = b @ direction
-        if zero_idx:
-            v[list(zero_idx)] = 0.0  # exact zeros by construction
-        v = v / float(np.abs(v).sum())
-        first = int(np.argmax(np.abs(v) > _DEDUPE_TOL))
-        if v[first] < 0.0:
-            v = -v
-        directions.append(v)
 
     def explore(zero_idx: tuple[int, ...]) -> None:
         nonlocal degenerate_sets
@@ -246,7 +301,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         if dim == 0:
             return
         if dim == 1:
-            emit(ns[:, 0], zero_idx)
+            pieces.append(_normalised(b, ns[:, 0][None], np.array([zero_idx], dtype=np.intp)))
             return
         degenerate_sets += 1
         # A coordinate that vanishes on the whole piece is zero already, and
@@ -269,27 +324,22 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
         combos = itertools.combinations(range(n), d - 1)
         while block := list(itertools.islice(combos, _CHUNK)):
             # The rank rule of _nullspace_of_rows, one stacked SVD per block.
-            _, s, vh = np.linalg.svd(b[np.array(block)])
-            ranks = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1).tolist()
-            for zero_idx, rank, direction in zip(block, ranks, vh[:, d - 1]):
-                if rank == d - 1:
-                    visit()
-                    emit(direction, zero_idx)
-                else:
-                    explore(zero_idx)
+            sets = np.array(block)
+            _, s, vh = np.linalg.svd(b[sets])
+            full = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1) == d - 1
+            found = _normalised(b, vh[full, d - 1], sets[full])
+            # Full-rank sets go in runs; each degenerate set recurses in between.
+            done = taken = 0
+            for at in np.flatnonzero(~full).tolist():
+                pieces.append(found[taken : taken + at - done])
+                visit(at - done)
+                taken += at - done
+                explore(block[at])
+                done = at + 1
+            pieces.append(found[taken:])
+            visit(len(block) - done)
 
-    # Greedy dedupe: each candidate is compared with every kept direction at
-    # once.  They are stored as columns, so the max over coordinates runs
-    # across rows.
-    kept = np.empty((n, len(directions)))
-    count = 0
-    for v in directions:
-        gaps = np.abs(kept[:, :count] - v[:, None]).max(axis=0)
-        if float(gaps.min(initial=np.inf)) <= _DEDUPE_TOL:
-            continue
-        kept[:, count] = v
-        count += 1
-    half = kept[:, :count].T
+    half = _dedupe(np.concatenate(pieces))
     return VertexSet(np.vstack([half, -half]), degenerate_sets > 0, zero_sets, degenerate_sets)
 
 
@@ -317,9 +367,11 @@ def _nsp_from_vertices(vertices: np.ndarray, k: int) -> NspReport:
     )
 
 
-def _validate_order(phi: np.ndarray, k: int) -> None:
+def _validate_order(phi: np.ndarray, k: int) -> int:
+    k = as_int(k, "order k")
     if not 1 <= k <= phi.shape[1]:
         raise ValueError(f"order k must satisfy 1 <= k <= {phi.shape[1]}, got {k}")
+    return k
 
 
 def check_nsp(phi, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
@@ -331,7 +383,7 @@ def check_nsp(phi, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
     magnitude set of the witness vertex.
     """
     phi = as_matrix(phi)
-    _validate_order(phi, k)
+    k = _validate_order(phi, k)
     _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
     basis = kernel_basis(phi)
     if basis.shape[1] == 0:
@@ -350,7 +402,7 @@ def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport
     vector concentrates.
     """
     phi = as_matrix(phi)
-    _validate_order(phi, k)
+    k = _validate_order(phi, k)
     w = as_weights(weights, phi.shape[1])
     _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
     basis = kernel_basis(phi)
@@ -375,7 +427,7 @@ def dominant_support(phi, k: int, *, max_zero_sets: int = 10**6) -> DominantSupp
     included magnitudes dominate the excluded ones.
     """
     phi = as_matrix(phi)
-    _validate_order(phi, k)
+    k = _validate_order(phi, k)
     basis = kernel_basis(phi)
     if basis.shape[1] == 0:
         raise ValueError("trivial kernel: no nonzero null-space vectors exist")
@@ -426,7 +478,8 @@ def downweight_interval(
     hi_nullspace = (1.0 - report.mass) / report.mass
     hi_ric = None
     if ric_budget is not None:
-        a, delta = float(ric_budget[0]), float(ric_budget[1])
+        a = as_number(ric_budget[0], "budget multiplier a")
+        delta = as_number(ric_budget[1], "budget delta")
         if a <= 1.0:
             raise ValueError(f"budget multiplier a must exceed 1, got {a}")
         if delta <= 0.0:
@@ -468,7 +521,7 @@ def compute_ric(phi, k: int, *, max_subsets: int = 10**6) -> RicValue:
     count exceeds ``max_subsets``.
     """
     phi = as_matrix(phi)
-    _validate_order(phi, k)
+    k = _validate_order(phi, k)
     n = phi.shape[1]
     required = math.comb(n, k)
     if required > _as_cap(max_subsets, "max_subsets"):
@@ -502,6 +555,7 @@ def compute_roc(phi, k1: int, k2: int, *, max_pairs: int = 10**6) -> RocValue:
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
+    k1, k2 = as_int(k1, "order k1"), as_int(k2, "order k2")
     if k1 < 1 or k2 < 1 or k1 + k2 > n:
         raise ValueError(f"need k1, k2 >= 1 with k1 + k2 <= {n}, got ({k1}, {k2})")
     required = math.comb(n, k1) * math.comb(n - k1, k2)
@@ -858,6 +912,7 @@ def recovery_trial(phi, weights, k: int, trials: int, seed: int) -> float:
     """
     phi = as_matrix(phi)
     n = phi.shape[1]
+    k, trials = as_int(k, "order k"), as_int(trials, "trials")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     if trials < 1:

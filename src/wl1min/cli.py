@@ -9,6 +9,7 @@ indices.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -393,6 +394,7 @@ def _add_weights_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights-file", help="weight vector file (text format)")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wl1min",

@@ -142,6 +142,25 @@ class TestVertexEnumeration:
         for j in (16, 17):
             assert _contains_vertex(vs.vertices, np.eye(18)[j])
 
+    @pytest.mark.parametrize(
+        "basis",
+        [[[np.nan], [1.0]], [[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]], [[1.0, 0.0], [-np.inf, 1.0]]],
+    )
+    def test_non_finite_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="finite"):
+            l1ball_section_vertices(np.array(basis))
+
+    def test_zero_candidate_rejected(self):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            l1ball_section_vertices(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            l1ball_section_vertices(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+
+    def test_zero_width_basis_gives_empty_set(self):
+        vs = l1ball_section_vertices(np.zeros((3, 0)))
+        assert vs.vertices.shape == (0, 3)
+        assert (vs.zero_sets, vs.had_degenerate_zero_set) == (0, False)
+
     @pytest.mark.parametrize("cap", [0, -5, True, 2.0, None])
     def test_cap_must_be_a_positive_integer(self, ex2_phi, cap):
         basis = kernel_basis(ex2_phi)
@@ -165,6 +184,16 @@ def _reference_nullspace_of_rows(rows, width):
     _, s, vh = np.linalg.svd(rows)
     tol = 1e-10 * float(s[0]) * max(rows.shape)
     return vh[int(np.count_nonzero(s > tol)):].T
+
+
+def _greedy_dedupe(candidates):
+    """The candidates, in order, farther than 1e-9 in max norm from every
+    earlier one kept; each is compared with all kept ones at once."""
+    kept = []
+    for v in candidates:
+        if not kept or np.abs(np.array(kept) - v).max(axis=1).min() > 1e-9:
+            kept.append(v)
+    return np.array(kept).reshape(-1, candidates.shape[1])
 
 
 def _reference_vertices(basis, closure=True):
@@ -211,11 +240,7 @@ def _reference_vertices(basis, closure=True):
 
     for zero_idx in itertools.combinations(range(n), d - 1):
         explore(zero_idx)
-    unique = []
-    for v in directions:
-        if not any(float(np.max(np.abs(v - u))) <= 1e-9 for u in unique):
-            unique.append(v)
-    half = np.array(unique)
+    half = _greedy_dedupe(np.array(directions).reshape(-1, n))
     return np.vstack([half, -half]), degenerate
 
 
@@ -269,6 +294,67 @@ class TestVertexReference:
         assert got.vertices.tobytes() == want.vertices.tobytes()
         assert got.zero_sets == want.zero_sets
 
+    @staticmethod
+    def _assert_matches_reference(basis):
+        got = l1ball_section_vertices(basis)
+        want, want_degenerate = _reference_vertices(basis)
+        assert got.vertices.shape == want.shape
+        assert got.vertices.tobytes() == want.tobytes()
+        assert got.had_degenerate_zero_set == want_degenerate
+        return got
+
+    def test_generic_dimension_five_kernel(self):
+        basis = kernel_basis(np.random.default_rng(31).standard_normal((9, 14)))
+        assert basis.shape == (14, 5)
+        got = self._assert_matches_reference(basis)
+        assert (got.zero_sets, got.degenerate_sets) == (math.comb(14, 4), 0)
+
+    def test_blocks_mixing_degenerate_and_full_rank_sets(self, monkeypatch):
+        # The degenerate pair {0, 1} opens the first block of seven; its
+        # recursion's candidates go before the six full-rank sets after it.
+        monkeypatch.setattr(certificates, "_CHUNK", 7)
+        got = self._assert_matches_reference(kernel_basis(_tied_pair_phi()))
+        assert (got.zero_sets, got.degenerate_sets) == (103, 1)
+
+    def test_all_candidate_sums_equal(self):
+        # The kernel of an all-ones row: every candidate is (e_i - e_j) / 2,
+        # with coordinate sum 0, so the dedupe's screen passes every pair on.
+        basis = kernel_basis(np.ones((1, 16)))
+        got = self._assert_matches_reference(basis)
+        assert got.vertices.shape == (2 * math.comb(16, 2), 16)
+        assert np.abs(got.vertices.sum(axis=1)).max() <= 1e-15
+
+
+class TestDedupe:
+    def test_screen_keeps_the_greedy_set(self):
+        # Copies of a few unit-l1 rows, moved by about the tolerance in every
+        # coordinate with one sign, so their sums land near the window's
+        # edge; half the cases are re-normalised.
+        rng = np.random.default_rng(3)
+        merged = 0
+        for case in range(400):
+            n = int(rng.integers(1, 12))
+            base = rng.standard_normal((int(rng.integers(1, 6)), n))
+            base /= np.abs(base).sum(axis=1, keepdims=True)
+            rows = base[rng.integers(len(base), size=int(rng.integers(1, 40)))]
+            scale = rng.choice([0.0, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0], size=(len(rows), 1))
+            sign = rng.choice([-1.0, 1.0], size=(len(rows), 1))
+            spread = np.where(rng.random(rows.shape) < 0.8, 1.0, rng.random(rows.shape))
+            rows = rows + sign * scale * 1e-9 * spread
+            if case % 2:
+                rows /= np.abs(rows).sum(axis=1, keepdims=True)
+            got = certificates._dedupe(rows)
+            want = _greedy_dedupe(rows)
+            assert got.shape == want.shape, case
+            assert got.tobytes() == want.tobytes(), case
+            merged += len(rows) - len(got)
+        assert merged > 1000
+
+    def test_first_of_near_equal_candidates_wins(self):
+        v = np.array([[0.5, -0.5, 0.0], [0.5 + 4e-10, -0.5, -4e-10], [0.0, 0.5, 0.5]])
+        assert certificates._dedupe(v[[1, 0, 2]]).tobytes() == v[[1, 2]].tobytes()
+        assert certificates._dedupe(v).tobytes() == v[[0, 2]].tobytes()
+
 
 class TestNsp:
     def test_reference_failure(self, ex1_phi):
@@ -292,6 +378,22 @@ class TestNsp:
             check_nsp(ex1_phi, 0)
         with pytest.raises(ValueError):
             check_nsp(ex1_phi, 4)
+
+    @pytest.mark.parametrize(
+        "k", [True, 1.0, 1.5, np.float64(1.0), "1"], ids=["bool", "float", "half", "numpy", "str"]
+    )
+    def test_order_must_be_an_integer(self, ex1_phi, k):
+        for check in (check_nsp, dominant_support, downweight_interval):
+            with pytest.raises(ValueError, match="order k must be an integer"):
+                check(ex1_phi, k)
+        with pytest.raises(ValueError, match="order k must be an integer"):
+            check_wnsp(ex1_phi, np.ones(3), k)
+        with pytest.raises(ValueError, match="order k must be an integer"):
+            compute_ric(np.eye(3), k)
+        with pytest.raises(ValueError, match="order k1 must be an integer"):
+            compute_roc(np.eye(3), k, 1)
+        with pytest.raises(ValueError, match="order k2 must be an integer"):
+            compute_roc(np.eye(3), 1, k)
 
     def test_witness_violates_by_margin(self):
         rng = np.random.default_rng(31)
@@ -453,6 +555,21 @@ class TestDownweightInterval:
         # problem; the exact delta2 (0.992704) would give hi_ric ~ 0.1215.
         iv = downweight_interval(ex2_phi, 1, ric_budget=(2.0, 0.9572))
         assert iv.hi_ric == pytest.approx(0.3023686758987807, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "budget, name",
+        [
+            ((np.inf, 0.5), "multiplier a must be finite"),
+            ((np.nan, 0.5), "multiplier a must be finite"),
+            ((2.0, np.nan), "delta must be finite"),
+            ((2.0, -np.inf), "delta must be finite"),
+            ((True, 0.5), "multiplier a must be a number"),
+            ((2.0, "0.5"), "delta must be a number"),
+        ],
+    )
+    def test_budget_must_be_finite_numbers(self, ex1_phi, budget, name):
+        with pytest.raises(ValueError, match=name):
+            downweight_interval(ex1_phi, 1, ric_budget=budget)
 
     def test_saturated_budget_gives_zero(self, ex1_phi):
         assert downweight_interval(ex1_phi, 1, ric_budget=(2.0, 1.0)).hi_ric == 0.0
@@ -975,3 +1092,6 @@ class TestRecoveryTrial:
             recovery_trial(ex1_phi, np.ones(3), 5, 10, seed=0)
         with pytest.raises(ValueError):
             recovery_trial(ex1_phi, np.ones(3), 1, 0, seed=0)
+        for k, trials in ((True, 2), (1.0, 2), (1, 2.5), (1, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                recovery_trial(ex1_phi, np.ones(3), k, trials, seed=0)

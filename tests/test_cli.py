@@ -1,13 +1,14 @@
 """Command line behavior: output text, JSON payloads, file outputs, and the
 exit code contract (0 ok, 1 input error, 2 non-convergence, 3 refusal)."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from wl1min import certificates, write_matrix, write_vector
+from wl1min import certificates, cli, write_matrix, write_vector
 from wl1min.cli import main
 
 
@@ -420,3 +421,30 @@ class TestArgumentHandling:
     def test_unknown_command_is_input_error(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_calls_share_one_parser(self, ex1_paths, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["certify", ex1_paths[0], "-k", "1"]) == 0
+        first = len(built)
+        assert first > 0 and built[0] == "wl1min"  # the tree and its subcommands
+        assert main(["certify", ex1_paths[0], "-k", "1", "--json"]) == 0
+        assert len(built) == first
+        capsys.readouterr()
+
+    def test_failed_parse_leaves_the_parser_usable(self, ex1_paths, capsys):
+        cli._build_parser.cache_clear()
+        argv = ["certify", ex1_paths[0], "-k", "1", "--json"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert main(["certify", ex1_paths[0], "-k", "one"]) == 1
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
