@@ -239,7 +239,7 @@ def run_experiment(
     """
     if config is None:
         config = SolverConfig()
-    if jobs < 1:
+    if as_int(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     tasks = [
         (spec, cell, sample, trial_seed(grid.base_seed, spec, cell, sample), config)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linops import as_int, as_matrix, as_number, as_system, as_weights, kernel_basis
+from .linops import _null_space, as_int, as_matrix, as_number, as_system, as_weights, kernel_basis
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -171,17 +171,6 @@ def _as_cap(value, name: str) -> int:
     return cap
 
 
-def _nullspace_of_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Orthonormal null-space basis of a short row block (columns of output)."""
-    if rows.shape[0] == 0:
-        return np.eye(width)
-    _, s, vh = np.linalg.svd(rows)
-    smax = float(s[0]) if s.size else 0.0
-    tol = 1e-10 * smax * max(rows.shape)
-    rank = int(np.count_nonzero(s > tol))
-    return vh[rank:].T
-
-
 def _normalised(b: np.ndarray, directions: np.ndarray, zero_idx: np.ndarray) -> np.ndarray:
     """Candidate vertices ``b @ direction``, one row per row of ``directions``.
 
@@ -296,7 +285,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
             return
         visited.add(zero_idx)
         visit()
-        ns = _nullspace_of_rows(b[list(zero_idx), :], d)
+        ns = _null_space(b[list(zero_idx), :])
         dim = ns.shape[1]
         if dim == 0:
             return
@@ -323,7 +312,7 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     else:
         combos = itertools.combinations(range(n), d - 1)
         while block := list(itertools.islice(combos, _CHUNK)):
-            # The rank rule of _nullspace_of_rows, one stacked SVD per block.
+            # The rank rule of linops._null_space, one stacked SVD per block.
             sets = np.array(block)
             _, s, vh = np.linalg.svd(b[sets])
             full = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1) == d - 1
@@ -578,6 +567,7 @@ def ric_bound_scaled_order(a: float, gamma: float) -> float:
     Recovery of ``k``-sparse vectors under a down-weight ``gamma`` follows
     whenever that constant stays below ``sqrt((a-1) / (a-1+gamma^2))``.
     """
+    a, gamma = as_number(a, "a"), as_number(gamma, "gamma")
     if a <= 1.0:
         raise ValueError(f"need a > 1, got {a}")
     if not 0.0 < gamma <= 1.0:
@@ -596,6 +586,7 @@ def ric_bound_plain_order(k: int, gamma: float) -> float:
     Even ``k``: ``1 / (1 + 2 ceil(gamma k) / k)``; odd ``k``:
     ``1 / (1 + 2 ceil(gamma k) / sqrt(k^2 - 1))``.  Requires ``k >= 2``.
     """
+    k, gamma = as_int(k, "k"), as_number(gamma, "gamma")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if not 0.0 < gamma <= 1.0:
@@ -618,7 +609,7 @@ def ric_bound_plain_order_infimum(gamma: Fraction, k_start: int) -> tuple[float,
     gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
         raise ValueError(f"need 0 < gamma <= 1, got {gamma}")
-    if k_start < 2:
+    if as_int(k_start, "k_start") < 2:
         raise ValueError(f"need k_start >= 2, got {k_start}")
     p, q = gamma.numerator, gamma.denominator
     best_value = math.inf
@@ -864,7 +855,7 @@ def _certified(phi, b, w, support: list[int], signs: np.ndarray) -> np.ndarray |
     proves it the unique LP optimum, else ``None``."""
     a_e = phi[:, support]
     v = w[support] * signs
-    if _nullspace_of_rows(a_e, len(support)).shape[1]:
+    if _null_space(a_e).shape[1]:
         return None  # A_E is rank-deficient
     y = np.linalg.lstsq(a_e.T, v, rcond=None)[0]
     if float(np.abs(a_e.T @ y - v).max()) > 1e-10 * float(np.abs(v).max()):

@@ -14,7 +14,6 @@ stored as single-column matrices.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -94,62 +93,21 @@ def as_weights(w, n: int) -> np.ndarray:
     return w
 
 
-# Power-iteration stopping rule: relative Rayleigh-quotient change and cap.
-_RAYLEIGH_TOL = 1e-12
-_POWER_MAX_ITER = 10000
-
-
-def _power_run(a: np.ndarray, v: np.ndarray):
-    """One power-iteration run on ``a.T @ a`` from unit start ``v``.
-
-    Returns ``(lam, converged, stationary, iterations)`` where ``lam`` is the
-    final Rayleigh quotient (always a lower bound on the true eigenvalue),
-    ``converged`` reports whether the quotient settled within the tolerance and
-    ``stationary`` whether the eigen-residual is small at that point.
-    """
-    lam = -1.0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        u = a @ v
-        lam_new = float(u @ u)
-        if lam_new == 0.0:
-            # The start vector is annihilated; nothing more to learn here.
-            return 0.0, True, False, it
-        w = a.T @ u
-        if abs(lam_new - lam) <= _RAYLEIGH_TOL * max(1.0, lam_new):
-            resid = float(np.linalg.norm(w - lam_new * v))
-            return lam_new, True, resid <= 1e-6 * lam_new, it
-        lam = lam_new
-        v = w / float(np.linalg.norm(w))
-    return lam, False, False, _POWER_MAX_ITER
-
-
 def largest_gram_eigenvalue(a) -> float:
-    """Largest eigenvalue of ``a.T @ a`` by power iteration.
-
-    Deterministic all-ones start.  If the Rayleigh quotient settles on a
-    non-stationary point (the start can be orthogonal to the top eigenvector)
-    the iteration restarts once from a seeded pseudorandom vector.  Hitting
-    the iteration cap emits a ``RuntimeWarning`` and returns the best
-    estimate, which is always a lower bound.
-    """
+    """Largest eigenvalue of ``a.T @ a``, from LAPACK's symmetric eigensolver
+    on the smaller of ``a @ a.T`` and ``a.T @ a`` (both share it)."""
     a = as_matrix(a)
-    n = a.shape[1]
-    v0 = np.ones(n) / math.sqrt(n)
-    lam, converged, stationary, _ = _power_run(a, v0)
-    if not (converged and stationary):
-        rng = np.random.default_rng(0x5EED)
-        v1 = rng.standard_normal(n)
-        v1 /= float(np.linalg.norm(v1))
-        lam2, converged2, stationary2, _ = _power_run(a, v1)
-        lam = max(lam, lam2)
-        if not (converged and converged2):
-            warnings.warn(
-                f"power iteration did not converge within {_POWER_MAX_ITER} iterations; "
-                f"returning the best (lower-bound) estimate {lam!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return lam
+    g = a @ a.T if a.shape[0] < a.shape[1] else a.T @ a
+    return float(np.linalg.eigvalsh(g)[-1])
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """``kernel_basis`` without input checks or the copy, for the
+    certificates' slices of checked matrices.  A slice with no rows gives the
+    identity, which is what the SVD returns as ``vh`` then."""
+    _, s, vh = np.linalg.svd(a)
+    tol = 1e-10 * float(s[0]) * max(a.shape) if s.size else 0.0
+    return vh[int(np.count_nonzero(s > tol)) :].T
 
 
 def kernel_basis(a) -> np.ndarray:
@@ -159,13 +117,7 @@ def kernel_basis(a) -> np.ndarray:
     be zero.  Rank is decided at the singular-value threshold
     ``1e-10 * sigma_max * max(rows, cols)``.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    tol = 1e-10 * smax * max(m, n)
-    rank = int(np.count_nonzero(s > tol))
-    return vh[rank:].T.copy()
+    return _null_space(as_matrix(a)).copy()
 
 
 def _parse_header(line: str, path) -> tuple[int, int]:

@@ -227,6 +227,7 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     x = as_vector(x_init).copy()
     if x.shape[0] != n:
         raise ValueError(f"start point has {x.shape[0]} entries, expected {n}")
+    mu, L, eta = as_number(mu, "mu"), as_number(L, "step bound L"), as_number(eta, "eta")
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if L <= 0.0:

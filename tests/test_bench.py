@@ -170,8 +170,9 @@ class TestRunExperiment:
                    for r, c in zip(results, [grid.cells[0]] * 3 + [grid.cells[1]] * 3))
 
     def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            run_experiment(_small_grid(), jobs=0)
+        for jobs in (0, True, 1.5, 2.0):
+            with pytest.raises(ValueError):
+                run_experiment(_small_grid(), jobs=jobs)
 
 
 class TestSummarize:

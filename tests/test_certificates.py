@@ -705,6 +705,13 @@ class TestScaledOrderBound:
         with pytest.raises(ValueError):
             ric_bound_scaled_order(2.0, 1.5)
 
+    @pytest.mark.parametrize("a, gamma", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (2.0, float("nan")), (True, 0.5), (2.0, True),
+    ])
+    def test_numbers_must_be_finite(self, a, gamma):
+        with pytest.raises(ValueError, match="must be (a number|finite)"):
+            ric_bound_scaled_order(a, gamma)
+
 
 class TestPlainOrderBound:
     def test_even_orders_gamma_one(self):
@@ -727,6 +734,18 @@ class TestPlainOrderBound:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             ric_bound_plain_order(1, 0.5)
+
+    @pytest.mark.parametrize("k, gamma", [
+        (2.5, 0.5), (4.0, 0.5), (True, 0.5), (4, True), (4, float("nan")), (4, "0.5"),
+    ])
+    def test_order_and_gamma_types(self, k, gamma):
+        with pytest.raises(ValueError, match="must be (an integer|a number|finite)"):
+            ric_bound_plain_order(k, gamma)
+
+    @pytest.mark.parametrize("k_start", [2.0, 4.5, True])
+    def test_infimum_start_must_be_an_integer(self, k_start):
+        with pytest.raises(ValueError, match="k_start must be an integer"):
+            ric_bound_plain_order_infimum(0.5, k_start)
 
     def test_infimum_reference_cells(self):
         value, at_k = ric_bound_plain_order_infimum(Fraction(3, 4), 4)

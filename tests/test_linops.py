@@ -19,6 +19,7 @@ from wl1min import (
     write_matrix,
     write_vector,
 )
+from wl1min.linops import _null_space
 
 
 class TestValidation:
@@ -98,17 +99,24 @@ class TestLargestGramEigenvalue:
 
     def test_random_against_eigvalsh(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.standard_normal((6, 9))
+        for shape in [(6, 9)] * 10 + [(9, 6)] * 10 + [(7, 7)] * 10:
+            a = rng.standard_normal(shape)
             expected = float(np.linalg.eigvalsh(a.T @ a).max())
             assert largest_gram_eigenvalue(a) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [(128, 512), (512, 128), (64, 64)])
+    def test_matches_top_singular_value_squared(self, shape):
+        # ISTA steps by 1/L, so L is sigma_max**2 up to rounding, not a
+        # lower estimate of it.
+        a = np.random.default_rng(11).standard_normal(shape)
+        sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert largest_gram_eigenvalue(a) == pytest.approx(sigma**2, rel=1e-13)
 
     def test_diagonal(self):
         assert largest_gram_eigenvalue(np.diag([3.0, -1.0])) == pytest.approx(9.0, rel=1e-10)
 
     def test_zero_matrix(self):
-        # The all-ones start is annihilated, so the restart runs too; both
-        # runs settle at once and neither may warn.
+        # The solver falls back to L = 1 on exactly this value.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert largest_gram_eigenvalue(np.zeros((3, 2))) == 0.0
@@ -126,6 +134,10 @@ class TestKernelBasis:
     def test_invertible_has_trivial_kernel(self):
         basis = kernel_basis(np.array([[2.0, 1.0], [0.0, 1.0]]))
         assert basis.shape == (2, 0)
+
+    def test_block_with_no_rows_gives_the_identity(self):
+        # The certificates' degenerate recursion starts from the empty zero set.
+        assert np.array_equal(_null_space(np.zeros((0, 4))), np.eye(4))
 
     def test_reference_kernel_dim_two(self, ex2_phi):
         assert kernel_basis(ex2_phi).shape == (5, 2)

@@ -158,6 +158,14 @@ class TestIstaStage:
         with pytest.raises(ValueError, match="cap must be an integer"):
             ista_stage(ex1_phi, ex1_b, np.ones(3), 0.1, 1.0, np.ones(3), 1e-4, cap)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.1"])
+    @pytest.mark.parametrize("slot", ["mu", "L", "eta"])
+    def test_penalty_step_and_tolerance_must_be_finite_numbers(self, ex1_phi, ex1_b, slot, value):
+        args = {"mu": 0.1, "L": 2.0, "eta": 1e-3}
+        args[slot] = value
+        with pytest.raises(ValueError, match="must be (a number|finite)"):
+            ista_stage(ex1_phi, ex1_b, np.ones(3), args["mu"], args["L"], np.ones(3), args["eta"], 10)
+
 
 def _reference_ista_loop(phi, b, weights, mu, L, x_init, eta, cap):
     """The inner loop as written when every iteration called the validated
