@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -307,53 +307,27 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
             if j not in present:
                 explore(tuple(sorted(closure + (j,))))
 
-    if d == 1:
-        explore(())
-    else:
-        combos = itertools.combinations(range(n), d - 1)
-        while block := list(itertools.islice(combos, _CHUNK)):
-            # The rank rule of linops._null_space, one stacked SVD per block.
-            sets = np.array(block)
-            _, s, vh = np.linalg.svd(b[sets])
-            full = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1) == d - 1
-            found = _normalised(b, vh[full, d - 1], sets[full])
-            # Full-rank sets go in runs; each degenerate set recurses in between.
-            done = taken = 0
-            for at in np.flatnonzero(~full).tolist():
-                pieces.append(found[taken : taken + at - done])
-                visit(at - done)
-                taken += at - done
-                explore(block[at])
-                done = at + 1
-            pieces.append(found[taken:])
-            visit(len(block) - done)
+    combos = itertools.combinations(range(n), d - 1)
+    while block := list(itertools.islice(combos, _CHUNK)):
+        # The rank rule of linops._null_space, one stacked SVD per block.  A
+        # line kernel has the one empty zero set, whose SVD has ``vh = [[1]]``.
+        sets = np.array(block, dtype=np.intp).reshape(len(block), d - 1)
+        _, s, vh = np.linalg.svd(b[sets])
+        full = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1) == d - 1
+        found = _normalised(b, vh[full, d - 1], sets[full])
+        # Full-rank sets go in runs; each degenerate set recurses in between.
+        done = taken = 0
+        for at in np.flatnonzero(~full).tolist():
+            pieces.append(found[taken : taken + at - done])
+            visit(at - done)
+            taken += at - done
+            explore(block[at])
+            done = at + 1
+        pieces.append(found[taken:])
+        visit(len(block) - done)
 
     half = _dedupe(np.concatenate(pieces))
     return VertexSet(np.vstack([half, -half]), degenerate_sets > 0, zero_sets, degenerate_sets)
-
-
-def _topk_masses(vertices: np.ndarray, k: int) -> np.ndarray:
-    mags = np.sort(np.abs(vertices), axis=1)[:, ::-1]
-    return mags[:, :k].sum(axis=1)
-
-
-def _topk_set(vertex: np.ndarray, k: int) -> tuple[int, ...]:
-    order = np.argsort(-np.abs(vertex), kind="stable")  # ties to the smaller index
-    return tuple(sorted(int(i) for i in order[:k]))
-
-
-def _nsp_from_vertices(vertices: np.ndarray, k: int) -> NspReport:
-    masses = _topk_masses(vertices, k)
-    worst = int(np.argmax(masses))
-    margin = float(masses[worst]) - 0.5
-    return NspReport(
-        holds=margin < 0.0,
-        order=k,
-        vacuous=False,
-        worst_margin=margin,
-        witness_vertex=vertices[worst].copy(),
-        witness_set=_topk_set(vertices[worst], k),
-    )
 
 
 def _validate_order(phi: np.ndarray, k: int) -> int:
@@ -361,6 +335,48 @@ def _validate_order(phi: np.ndarray, k: int) -> int:
     if not 1 <= k <= phi.shape[1]:
         raise ValueError(f"order k must satisfy 1 <= k <= {phi.shape[1]}, got {k}")
     return k
+
+
+def _top_k_section(phi, k: int, max_zero_sets: int, weights=None):
+    """``(k, w, section)`` for the order-``k`` checks on ``phi``'s kernel.
+
+    ``w`` is the validated weight vector (``None`` when unweighted), and
+    ``section`` is ``None`` for a trivial kernel.  Otherwise the kernel,
+    multiplied by ``w`` when weighted, is enumerated into ``vertices``, and
+    ``section`` is ``(vertices, ranked, masses, best, support)``: each
+    vertex's magnitudes in decreasing order, its top-``k`` masses, the first
+    vertex of largest mass, and that vertex's top-``k`` set (ties to the
+    smaller index).
+    """
+    phi = as_matrix(phi)
+    k = _validate_order(phi, k)
+    w = None if weights is None else as_weights(weights, phi.shape[1])
+    max_zero_sets = _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
+    basis = kernel_basis(phi)
+    if basis.shape[1] == 0:
+        return k, w, None
+    if w is not None:
+        basis, _ = np.linalg.qr(basis * w[:, None])
+    vertices = l1ball_section_vertices(basis, max_zero_sets=max_zero_sets).vertices
+    ranked = np.sort(np.abs(vertices), axis=1)[:, ::-1]
+    masses = ranked[:, :k].sum(axis=1)
+    best = int(np.argmax(masses))
+    order = np.argsort(-np.abs(vertices[best]), kind="stable")
+    support = tuple(sorted(int(i) for i in order[:k]))
+    return k, w, (vertices, ranked, masses, best, support)
+
+
+def _nsp_report(k: int, w: np.ndarray | None, section) -> NspReport:
+    if section is None:
+        return NspReport(True, k, True, None, None, None)
+    vertices, _, masses, best, support = section
+    margin = float(masses[best]) - 0.5
+    if w is None:
+        h = vertices[best].copy()
+    else:
+        h = vertices[best] / w
+        h /= float(np.abs(h).sum())
+    return NspReport(margin < 0.0, k, False, margin, h, support)
 
 
 def check_nsp(phi, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
@@ -371,14 +387,7 @@ def check_nsp(phi, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
     vertices need inspecting and the witness set is always the top-``k``
     magnitude set of the witness vertex.
     """
-    phi = as_matrix(phi)
-    k = _validate_order(phi, k)
-    _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
-    basis = kernel_basis(phi)
-    if basis.shape[1] == 0:
-        return NspReport(True, k, True, None, None, None)
-    vertices = l1ball_section_vertices(basis, max_zero_sets=max_zero_sets).vertices
-    return _nsp_from_vertices(vertices, k)
+    return _nsp_report(*_top_k_section(phi, k, max_zero_sets))
 
 
 def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport:
@@ -390,20 +399,7 @@ def check_wnsp(phi, weights, k: int, *, max_zero_sets: int = 10**6) -> NspReport
     unit l1 norm, and the witness set is where the *weighted* mass of that
     vector concentrates.
     """
-    phi = as_matrix(phi)
-    k = _validate_order(phi, k)
-    w = as_weights(weights, phi.shape[1])
-    _as_cap(max_zero_sets, "max_zero_sets")  # also when the kernel is trivial
-    basis = kernel_basis(phi)
-    if basis.shape[1] == 0:
-        return NspReport(True, k, True, None, None, None)
-    scaled = basis * w[:, None]
-    q, _ = np.linalg.qr(scaled)
-    vertices = l1ball_section_vertices(q, max_zero_sets=max_zero_sets).vertices
-    report = _nsp_from_vertices(vertices, k)
-    h = report.witness_vertex / w
-    h /= float(np.abs(h).sum())
-    return replace(report, witness_vertex=h)
+    return _nsp_report(*_top_k_section(phi, k, max_zero_sets, weights))
 
 
 def dominant_support(phi, k: int, *, max_zero_sets: int = 10**6) -> DominantSupportReport:
@@ -415,23 +411,15 @@ def dominant_support(phi, k: int, *, max_zero_sets: int = 10**6) -> DominantSupp
     magnitude for the largest excluded one, which is optimal because the
     included magnitudes dominate the excluded ones.
     """
-    phi = as_matrix(phi)
-    k = _validate_order(phi, k)
-    basis = kernel_basis(phi)
-    if basis.shape[1] == 0:
+    k, _, section = _top_k_section(phi, k, max_zero_sets)
+    if section is None:
         raise ValueError("trivial kernel: no nonzero null-space vectors exist")
-    vertices = l1ball_section_vertices(basis, max_zero_sets=max_zero_sets).vertices
-
-    mags = np.abs(vertices)
-    order = np.argsort(-mags, axis=1, kind="stable")  # ties to the smaller index
-    ranked = np.take_along_axis(mags, order, axis=1)
-    masses = ranked[:, :k].sum(axis=1)
-    best = int(np.argmax(masses))  # the first of tied vertices wins
-    support = _topk_set(vertices[best], k)
+    vertices, ranked, masses, best, support = section
 
     # Rows whose own top-k set is the dominant support offer the swap instead.
+    order = np.argsort(-np.abs(vertices), axis=1, kind="stable")  # ties to the smaller index
     dominant = np.all(np.sort(order[:, :k], axis=1) == support, axis=1)
-    if k < phi.shape[1]:
+    if k < vertices.shape[1]:
         swapped = masses - ranked[:, k - 1] + ranked[:, k]
         candidates = np.where(dominant, swapped, masses)
     else:
@@ -467,6 +455,8 @@ def downweight_interval(
     hi_nullspace = (1.0 - report.mass) / report.mass
     hi_ric = None
     if ric_budget is not None:
+        if not isinstance(ric_budget, (tuple, list)) or len(ric_budget) != 2:
+            raise ValueError(f"budget must be a pair (a, delta), got {ric_budget!r}")
         a = as_number(ric_budget[0], "budget multiplier a")
         delta = as_number(ric_budget[1], "budget delta")
         if a <= 1.0:
@@ -604,13 +594,17 @@ def ric_bound_plain_order_infimum(gamma: Fraction, k_start: int) -> tuple[float,
     For rational ``gamma = p/q`` the ceiling offset ``ceil(gamma k) - gamma k``
     recurs with period ``2q`` in ``k`` and, within one residue class, the
     bound increases with ``k``; the infimum is therefore attained on
-    ``[k_start, k_start + 2q]`` and the scan below is exact.
+    ``[k_start, k_start + 2q]`` and the scan below is exact.  ``gamma`` is
+    an ``int`` or a ``Fraction``: a float's exact value has a denominator
+    up to ``2**1074``, too long a period to scan.
     """
+    if as_int(k_start, "k_start") < 2:
+        raise ValueError(f"need k_start >= 2, got {k_start}")
+    if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
+        raise ValueError(f"gamma must be an int or a Fraction, got {gamma!r}")
     gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
         raise ValueError(f"need 0 < gamma <= 1, got {gamma}")
-    if as_int(k_start, "k_start") < 2:
-        raise ValueError(f"need k_start >= 2, got {k_start}")
     p, q = gamma.numerator, gamma.denominator
     best_value = math.inf
     best_k = k_start
@@ -908,7 +902,7 @@ def recovery_trial(phi, weights, k: int, trials: int, seed: int) -> float:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed"))
     successes = 0
     for _ in range(trials):
         idx = rng.choice(n, size=k, replace=False)

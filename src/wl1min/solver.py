@@ -205,6 +205,7 @@ def mu_schedule(phi, b, stages: int, decay: float) -> np.ndarray:
     phi, b = as_system(phi, b)
     if as_int(stages, "stages") < 1:
         raise ValueError(f"need at least one stage, got {stages}")
+    decay = as_number(decay, "decay")
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
     scale = float(np.abs(phi.T @ b).max())

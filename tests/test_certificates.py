@@ -1,9 +1,11 @@
 """Exact certificates: kernel vertex enumeration, NSP/WNSP, dominant support,
 gamma intervals, exact RIC/ROC, bound formulas, LP oracle."""
 
+import contextlib
 import itertools
 import math
 import os
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +41,22 @@ def _contains_vertex(vertices: np.ndarray, v, tol=1e-9) -> bool:
 
 def _topk_mass(vertex: np.ndarray, k: int) -> float:
     return float(np.sort(np.abs(vertex))[::-1][:k].sum())
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Turn a call that runs longer than ``seconds`` into a ``TimeoutError``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestVertexEnumeration:
@@ -77,6 +95,7 @@ class TestVertexEnumeration:
             vs = l1ball_section_vertices(kernel_basis(a))
             assert vs.vertices.shape[0] == 2
             assert np.allclose(vs.vertices[0], -vs.vertices[1], atol=1e-12)
+            assert (vs.zero_sets, vs.degenerate_sets) == (1, 0)
 
     def test_cap_refusal(self, ex2_phi):
         with pytest.raises(EnumerationCapExceeded) as err:
@@ -498,6 +517,32 @@ class TestDominantSupport:
             assert rep.runner_up_mass.hex() == runner_up.hex()
             assert rep.unique == unique
 
+    def test_agrees_with_the_nsp_witness(self):
+        # check_nsp's witness and the dominant support come from one ranking
+        # of the kernel vertices.  The weighted witness set carries the
+        # dominant mass of the kernel scaled by the weights.
+        rng = np.random.default_rng(29)
+        mats = [
+            rng.standard_normal((5, 8)),
+            np.hstack([np.eye(5), np.zeros((5, 2))]),
+            np.ones((1, 6)),
+            np.round(3 * rng.standard_normal((4, 8))),
+        ]
+        for phi in mats:
+            n = phi.shape[1]
+            w = rng.uniform(0.2, 1.5, n)
+            for k in range(1, n + 1):
+                nsp, rep = check_nsp(phi, k), dominant_support(phi, k)
+                assert nsp.witness_vertex.tobytes() == rep.vertex.tobytes()
+                assert nsp.worst_margin == rep.mass - 0.5
+                assert nsp.witness_set == rep.support
+                wnsp = check_wnsp(phi, w, k)
+                g = w * wnsp.witness_vertex
+                g /= np.abs(g).sum()
+                mass = dominant_support(phi / w, k).mass
+                assert wnsp.worst_margin == pytest.approx(mass - 0.5, abs=1e-12)
+                assert np.abs(g[list(wnsp.witness_set)]).sum() == pytest.approx(mass, abs=1e-12)
+
     def test_full_order_has_no_runner_up(self, ex1_phi):
         rep = dominant_support(ex1_phi, 3)
         assert rep.support == (0, 1, 2)
@@ -528,6 +573,12 @@ class TestDominantSupport:
     def test_trivial_kernel_rejected(self):
         with pytest.raises(ValueError):
             dominant_support(np.eye(3), 1)
+
+    def test_cap_checked_before_the_trivial_kernel(self):
+        # As check_nsp and check_wnsp do, an invalid cap is reported first.
+        for check in (dominant_support, downweight_interval):
+            with pytest.raises(ValueError, match="max_zero_sets must be at least 1"):
+                check(np.eye(3), 1, max_zero_sets=0)
 
     def test_vertex_membership(self, ex2_phi):
         rep = dominant_support(ex2_phi, 2)
@@ -565,6 +616,9 @@ class TestDownweightInterval:
             ((2.0, -np.inf), "delta must be finite"),
             ((True, 0.5), "multiplier a must be a number"),
             ((2.0, "0.5"), "delta must be a number"),
+            ((2.0,), "budget must be a pair"),
+            (5, "budget must be a pair"),
+            ((2.0, 0.5, 9.0), "budget must be a pair"),
         ],
     )
     def test_budget_must_be_finite_numbers(self, ex1_phi, budget, name):
@@ -746,6 +800,13 @@ class TestPlainOrderBound:
     def test_infimum_start_must_be_an_integer(self, k_start):
         with pytest.raises(ValueError, match="k_start must be an integer"):
             ric_bound_plain_order_infimum(0.5, k_start)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, True, "1/2", math.inf, math.nan])
+    def test_infimum_gamma_must_be_exact(self, gamma):
+        # A float's exact denominator sets the scan's period: 2**55 steps for
+        # 0.1, so without the refusal this call would not return.
+        with _deadline(5.0), pytest.raises(ValueError, match="gamma must be an int or a Fraction"):
+            ric_bound_plain_order_infimum(gamma, 2)
 
     def test_infimum_reference_cells(self):
         value, at_k = ric_bound_plain_order_infimum(Fraction(3, 4), 4)
@@ -1114,3 +1175,6 @@ class TestRecoveryTrial:
         for k, trials in ((True, 2), (1.0, 2), (1, 2.5), (1, True)):
             with pytest.raises(ValueError, match="must be an integer"):
                 recovery_trial(ex1_phi, np.ones(3), k, trials, seed=0)
+        for seed in (True, 1.5, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                recovery_trial(ex1_phi, np.ones(3), 1, 2, seed=seed)

@@ -68,6 +68,9 @@ class TestMuSchedule:
             mu_schedule(ex1_phi, ex1_b, 3, 1.0)
         with pytest.raises(ValueError):
             mu_schedule(ex1_phi, np.zeros(5), 3, 0.2)
+        for decay in ("0.5", True, float("nan")):
+            with pytest.raises(ValueError, match="decay must be (a number|finite)"):
+                mu_schedule(ex1_phi, ex1_b, 3, decay)
 
     @pytest.mark.parametrize("stages", [2.5, 2.0, True])
     def test_non_integer_stage_count_rejected(self, stages):
