@@ -190,6 +190,42 @@ def _reference_ista_loop(phi, b, weights, mu, L, x_init, eta, cap):
     return x, cap, step, False, objectives
 
 
+def _at_offset(a, offset, order="C"):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte line."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + a.size].reshape(a.shape, order=order)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (512,), (7, 16)])
+    def test_empty_starts_on_a_cache_line(self, shape):
+        v = solver_module._aligned_empty(shape)
+        assert v.shape == shape and v.dtype == np.float64 and v.flags.c_contiguous
+        assert v.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("offset", [8, 16, 32, 48])
+    def test_copy_keeps_values_and_order(self, order, offset):
+        a = np.random.default_rng(offset).standard_normal((5, 9))
+        src = _at_offset(a, offset, order)
+        out = solver_module._aligned(src)
+        assert out.ctypes.data % 64 == 0
+        assert out.tobytes(order="A") == src.tobytes(order="A")
+        assert out.flags.c_contiguous == src.flags.c_contiguous
+        assert out.flags.f_contiguous == src.flags.f_contiguous
+        assert not np.shares_memory(out, src)
+
+    def test_aligned_and_strided_arrays_are_returned_as_they_are(self):
+        a = _at_offset(np.ones((4, 6)), 0)
+        assert solver_module._aligned(a) is a
+        strided = _at_offset(np.ones((4, 12)), 16)[:, ::2]
+        assert solver_module._aligned(strided) is strided
+
+
 class TestIstaLoopReference:
     @staticmethod
     def _compare(shape, eta_factor, cap, mu_factor=0.1):
@@ -244,6 +280,26 @@ class TestIstaLoopReference:
             phi, b, w, mu, L, np.ones(n), 1e-6 * mu, 2000)
         assert x.tobytes() == want_x.tobytes()
         assert inner.objectives == objectives and inner.iterations == iters
+
+    @pytest.mark.parametrize("offset", [0, 8, 16, 32, 48])
+    def test_matrix_offset_changes_no_bit(self, offset):
+        # ista_stage copies a matrix that is off a 64-byte line; the copy
+        # must give the bits of the reference loop on the original.
+        rng = np.random.default_rng(45)
+        m, n = 32, 128
+        phi = _at_offset(rng.standard_normal((m, n)), offset)
+        b = phi[:, :4] @ rng.standard_normal(4)
+        w = rng.uniform(0.5, 1.0, n)
+        x0 = rng.standard_normal(n)
+        before = (phi.tobytes(), x0.tobytes())
+        mu = 0.05 * float(np.abs(phi.T @ b).max())
+        L = 1.000001 * largest_gram_eigenvalue(phi)
+        x, inner = ista_stage(phi, b, w, mu, L, x0, 1e-8 * mu, 3000)
+        want_x, iters, _, _, objectives = _reference_ista_loop(
+            phi, b, w, mu, L, x0, 1e-8 * mu, 3000)
+        assert x.tobytes() == want_x.tobytes()
+        assert inner.objectives == objectives and inner.iterations == iters
+        assert (phi.tobytes(), x0.tobytes()) == before
 
     def test_stage_ending_on_a_zero_step(self):
         # 0 is optimal and eta is 0, so only an exactly repeated iterate stops it.
