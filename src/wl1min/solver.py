@@ -182,10 +182,6 @@ class SolveReport:
         return all(s.converged for s in self.stages)
 
 
-def _shrink(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def soft_threshold(v, t) -> np.ndarray:
     """Entrywise ``sign(v) * max(|v| - t, 0)``.
 
@@ -197,7 +193,7 @@ def soft_threshold(v, t) -> np.ndarray:
         raise ValueError(f"shape mismatch: {v.shape} vs {t.shape}")
     if np.any(t < 0.0):
         raise ValueError("thresholds must be nonnegative")
-    return _shrink(v, t)
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def _aligned_empty(shape, order="C") -> np.ndarray:

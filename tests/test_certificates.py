@@ -217,11 +217,13 @@ def _greedy_dedupe(candidates):
 
 def _reference_vertices(basis, closure=True):
     """The vertex enumeration as written with one SVD per zero set and a
-    pairwise dedupe: ``(vertices, had_degenerate_zero_set)``.  Without
-    ``closure`` a degenerate zero set recurses one forced zero at a time."""
+    pairwise dedupe: ``(vertices, zero_sets, degenerate_sets)``, the last two
+    counting the zero sets visited and those of them met in dimension above
+    one.  Without ``closure`` a degenerate zero set recurses one forced zero
+    at a time."""
     n, d = basis.shape
     directions = []
-    degenerate = False
+    zero_sets = degenerate_sets = 0
     visited = set()
     closures = set()
 
@@ -236,15 +238,16 @@ def _reference_vertices(basis, closure=True):
         directions.append(v)
 
     def explore(zero_idx):
-        nonlocal degenerate
+        nonlocal zero_sets, degenerate_sets
         if zero_idx in visited:
             return
         visited.add(zero_idx)
+        zero_sets += 1
         ns = _reference_nullspace_of_rows(basis[list(zero_idx), :], d)
         if ns.shape[1] == 1:
             emit(ns[:, 0], zero_idx)
         elif ns.shape[1] > 1:
-            degenerate = True
+            degenerate_sets += 1
             if closure:
                 section = basis @ ns
                 tol = 1e-10 * max(len(zero_idx) + 1, d)
@@ -260,7 +263,27 @@ def _reference_vertices(basis, closure=True):
     for zero_idx in itertools.combinations(range(n), d - 1):
         explore(zero_idx)
     half = _greedy_dedupe(np.array(directions).reshape(-1, n))
-    return np.vstack([half, -half]), degenerate
+    return np.vstack([half, -half]), zero_sets, degenerate_sets
+
+
+def _zero_block_phi():
+    """``[I_4 | 0_{4x3}]``: the kernel is span{e4, e5, e6}, so degenerate zero
+    sets recurse into degenerate children."""
+    return np.hstack([np.eye(4), np.zeros((4, 3))])
+
+
+def _tied_triple_phi():
+    """A 6x10 matrix whose kernel satisfies ``h_0 = h_1 = h_2``: closures
+    repeat among the base zero sets, and zero sets two levels down the
+    recursion are met again from other branches."""
+    rng = np.random.default_rng(5)
+    e = np.eye(10)
+    return np.vstack([e[0] - e[1], e[0] - e[2], rng.standard_normal((4, 10))])
+
+
+def _two_ones_blocks_phi():
+    """``kron(I_2, ones((1, 4)))``: children of different closures coincide."""
+    return np.kron(np.eye(2), np.ones((1, 4)))
 
 
 class TestVertexReference:
@@ -282,23 +305,26 @@ class TestVertexReference:
         yield tiny
         yield rng.standard_normal((5, 6))  # d == 1
         yield np.zeros((3, 5))  # d == n
+        yield _zero_block_phi()
+        yield _tied_triple_phi()
+        yield _two_ones_blocks_phi()
 
     def test_bitwise_equal_to_per_zero_set_svds(self, ex1_phi, ex2_phi):
         degenerate = 0
         for case, phi in enumerate(self._matrices(ex1_phi, ex2_phi)):
             basis = kernel_basis(phi)
             got = l1ball_section_vertices(basis)
-            want, want_degenerate = _reference_vertices(basis)
+            want, zero_sets, degenerate_sets = _reference_vertices(basis)
             assert got.vertices.shape == want.shape, case
             assert got.vertices.tobytes() == want.tobytes(), case
-            assert got.had_degenerate_zero_set == want_degenerate, case
-            assert got.had_degenerate_zero_set == (got.degenerate_sets > 0), case
-            degenerate += want_degenerate
+            assert (got.zero_sets, got.degenerate_sets) == (zero_sets, degenerate_sets), case
+            assert got.had_degenerate_zero_set == (degenerate_sets > 0), case
+            degenerate += degenerate_sets > 0
 
             # One forced zero at a time reaches the same vertices, up to the
             # dedupe tolerance; ill-conditioned inputs can leave it extra
             # near-duplicates.
-            unclosed, _ = _reference_vertices(basis, closure=False)
+            unclosed = _reference_vertices(basis, closure=False)[0]
             for v in unclosed:
                 assert _contains_vertex(got.vertices, v), case
             for v in got.vertices:
@@ -316,10 +342,10 @@ class TestVertexReference:
     @staticmethod
     def _assert_matches_reference(basis):
         got = l1ball_section_vertices(basis)
-        want, want_degenerate = _reference_vertices(basis)
+        want, zero_sets, degenerate_sets = _reference_vertices(basis)
         assert got.vertices.shape == want.shape
         assert got.vertices.tobytes() == want.tobytes()
-        assert got.had_degenerate_zero_set == want_degenerate
+        assert (got.zero_sets, got.degenerate_sets) == (zero_sets, degenerate_sets)
         return got
 
     def test_generic_dimension_five_kernel(self):
@@ -334,6 +360,22 @@ class TestVertexReference:
         monkeypatch.setattr(certificates, "_CHUNK", 7)
         got = self._assert_matches_reference(kernel_basis(_tied_pair_phi()))
         assert (got.zero_sets, got.degenerate_sets) == (103, 1)
+
+    @pytest.mark.parametrize(
+        "phi, counts",
+        [(_zero_block_phi(), (27, 21)), (_tied_triple_phi(), (148, 29)), (_two_ones_blocks_phi(), (68, 8))],
+        ids=["nested-degenerate", "hits-at-depth", "shared-children"],
+    )
+    def test_recursion_counts(self, phi, counts):
+        got = l1ball_section_vertices(kernel_basis(phi))
+        assert (got.zero_sets, got.degenerate_sets) == counts
+
+    def test_cap_passed_inside_a_nested_block(self):
+        basis = kernel_basis(_tied_triple_phi())
+        with pytest.raises(EnumerationCapExceeded) as err:
+            l1ball_section_vertices(basis, max_zero_sets=130)
+        assert (err.value.required, err.value.cap) == (131, 130)
+        assert l1ball_section_vertices(basis, max_zero_sets=148).zero_sets == 148
 
     def test_all_candidate_sums_equal(self):
         # The kernel of an all-ones row: every candidate is (e_i - e_j) / 2,
@@ -624,6 +666,24 @@ class TestDownweightInterval:
     def test_budget_must_be_finite_numbers(self, ex1_phi, budget, name):
         with pytest.raises(ValueError, match=name):
             downweight_interval(ex1_phi, 1, ric_budget=budget)
+
+    @pytest.mark.parametrize(
+        "case, budget, name",
+        [
+            ("capped", (0.5, 0.5), "multiplier a must exceed 1"),
+            ("capped", (2.0,), "budget must be a pair"),
+            ("trivial", (0.5, 0.5), "multiplier a must exceed 1"),
+        ],
+    )
+    def test_budget_checked_before_the_enumeration(self, ex2_phi, case, budget, name):
+        # A cap too small for the kernel, or a trivial kernel, would refuse
+        # after the budget's own checks.
+        if case == "capped":
+            args, kwargs = (ex2_phi, 1), {"max_zero_sets": 2}
+        else:
+            args, kwargs = (np.eye(3), 1), {}
+        with pytest.raises(ValueError, match=name):
+            downweight_interval(*args, ric_budget=budget, **kwargs)
 
     def test_saturated_budget_gives_zero(self, ex1_phi):
         assert downweight_interval(ex1_phi, 1, ric_budget=(2.0, 1.0)).hi_ric == 0.0

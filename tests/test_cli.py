@@ -3,6 +3,7 @@ exit code contract (0 ok, 1 input error, 2 non-convergence, 3 refusal)."""
 
 import argparse
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -63,6 +64,14 @@ class TestSolveCommand:
         payload = json.loads(report_path.read_text())
         assert payload["converged"] is True
         assert len(payload["x"]) == 3
+
+    def test_out_file_is_the_json_payload_without_the_residual(self, ex2_paths, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main(["solve", *ex2_paths, "--scheme", "classic", "--json", "--out", str(report_path)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["residual"]
+        assert report_path.read_text() == json.dumps(payload, indent=1) + "\n"
 
     def test_weights_file(self, ex1_paths, tmp_path, capsys):
         wpath = tmp_path / "w.txt"
@@ -324,6 +333,18 @@ class TestTablesCommand:
         cell = plain[("1", "even")]
         assert float(cell["value_at_start"]) == pytest.approx(1 / 3, rel=1e-12)
         assert float(cell["infimum"]) == pytest.approx(1 / 3, rel=1e-12)
+
+    def test_csv_bytes_pinned(self, tmp_path, capsys):
+        assert main(["tables", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("scaled_order_bounds.csv", "plain_order_bounds.csv")
+        }
+        assert digests == {
+            "scaled_order_bounds.csv": "fad5f98d86b9ff9183b7f00e41045bf3c8177d9517af3d41197f178f6fc17817",
+            "plain_order_bounds.csv": "b0360d24d08442510c8dd8964bfd849c3fbdcbbe4e2a16a856de953c6985a505",
+        }
 
 
 class TestBenchCommand:
