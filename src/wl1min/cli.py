@@ -109,6 +109,7 @@ def _report_payload(report: solver.SolveReport) -> dict:
         "x": report.x,
         "converged": report.converged,
         "total_seconds": report.total_seconds,
+        "step_bound": report.step_bound,
         "objective_history": report.objective_history,
         "stages": [asdict(s) for s in report.stages],
     }

@@ -49,11 +49,12 @@ class TestSolveCommand:
         assert len(payload["stages"]) == 8
         assert payload["stages"][0]["stage"] == 1
         assert list(payload) == [
-            "x", "converged", "total_seconds", "objective_history", "stages", "residual"
+            "x", "converged", "total_seconds", "step_bound", "objective_history", "stages",
+            "residual",
         ]
         assert list(payload["stages"][0]) == [
             "stage", "mu", "inner_iterations", "final_step_norm", "converged",
-            "support_size", "weights",
+            "support_size", "weights", "seconds",
         ]
 
     def test_out_file(self, ex1_paths, tmp_path, capsys):

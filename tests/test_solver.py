@@ -307,6 +307,103 @@ class TestIstaLoopReference:
         assert inner.final_step_norm == 0.0 and inner.converged and inner.iterations < 5000
         assert not np.any(x)
 
+    @pytest.mark.parametrize("mu", [0.1, 0.0])
+    def test_gradient_step_of_negative_zero(self, mu):
+        # The zero column keeps x_1 - phi_1^T r / L at -0.0, and np.sign(-0.0)
+        # is +0, so the entry comes out +0 where copysign would give -0.0.
+        phi = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+        b, x0 = np.array([1.0, 0.5]), np.array([0.5, -0.0, 0.2])
+        x, inner = ista_stage(phi, b, np.ones(3), mu, 6.0, x0, 0.0, 50)
+        want_x, iters, step, converged, objectives = _reference_ista_loop(
+            phi, b, np.ones(3), mu, 6.0, x0, 0.0, 50)
+        assert x.tobytes() == want_x.tobytes() and not np.signbit(x[1])
+        assert (inner.iterations, inner.final_step_norm, inner.converged) == (iters, step, converged)
+        assert inner.objectives == objectives
+
+
+def _block_problem():
+    rng = np.random.default_rng(46)
+    phi = rng.standard_normal((8, 16))
+    b = phi[:, :2] @ rng.standard_normal(2)
+    w = rng.uniform(0.5, 1.0, 16)
+    mu = 0.05 * float(np.abs(phi.T @ b).max())
+    return phi, b, w, mu, 1.000001 * largest_gram_eigenvalue(phi), np.zeros(16)
+
+
+def _eta_stopping_at(problem, stop):
+    """An ``eta`` whose stop test first comes out true at iteration ``stop``."""
+    phi, b, w, mu, L, x = problem
+    ratios = []
+    for _ in range(stop):
+        x_next, _, step, _, _ = _reference_ista_loop(phi, b, w, mu, L, x, 0.0, 1)
+        ratios.append(step / max(1.0, float(np.linalg.norm(x))))
+        x = x_next
+    before = min(ratios[:-1], default=2.0 * ratios[-1])
+    assert ratios[-1] < before
+    return 0.5 * (ratios[-1] + before)
+
+
+_K = solver_module._BLOCK
+
+
+class TestIstaBlocks:
+    """The blocked loop against the reference where a block starts or ends."""
+
+    @staticmethod
+    def _compare(problem, eta, cap):
+        x, inner = ista_stage(*problem, eta, cap)
+        want_x, iters, step, converged, objectives = _reference_ista_loop(*problem, eta, cap)
+        assert x.tobytes() == want_x.tobytes()
+        assert inner.objectives == objectives
+        assert (inner.iterations, inner.final_step_norm, inner.converged) == (iters, step, converged)
+        return inner
+
+    @pytest.mark.parametrize("stop", [1, 2, _K - 1, _K, _K + 1, 2 * _K, 2 * _K + 1])
+    def test_stop_at_a_block_boundary(self, stop):
+        problem = _block_problem()
+        inner = self._compare(problem, _eta_stopping_at(problem, stop), 10 * _K)
+        assert inner.iterations == stop and inner.converged
+        assert len(inner.objectives) == stop + 1
+
+    @pytest.mark.parametrize("cap", [1, _K - 1, _K, _K + 1, 2 * _K + 5])
+    def test_cap_around_the_block_length(self, cap):
+        inner = self._compare(_block_problem(), 0.0, cap)
+        assert inner.iterations == cap and not inner.converged
+
+    def test_stop_at_the_cap(self):
+        problem = _block_problem()
+        inner = self._compare(problem, _eta_stopping_at(problem, _K + 3), _K + 3)
+        assert inner.iterations == _K + 3 and inner.converged
+
+    def test_exact_repeat_on_the_first_step(self):
+        # With weights of at least 1/2, mu = 4 max|phi_j^T b| thresholds the
+        # first gradient step to signed zeros, so step 1 is exactly 0.
+        phi, b, w, mu, L, x0 = _block_problem()
+        mu = 4.0 * float(np.abs(phi.T @ b).max())
+        inner = self._compare((phi, b, w, mu, L, x0), 0.0, 10 * _K)
+        assert inner.iterations == 1 and inner.final_step_norm == 0.0 and inner.converged
+
+
+class TestBatchedRowInvariants:
+    """The batched calls after a block give each row the bits of the 1-d call."""
+
+    @staticmethod
+    def _row_views(n):
+        wide = np.random.default_rng(n).standard_normal((17, 520))
+        return wide[:, :n], wide[1:16:3, 3 : n + 3], np.ascontiguousarray(wide[:, :n])
+
+    @pytest.mark.parametrize("n", [1, 5, 13, 127, 129, 300, 515])
+    def test_stacked_matmul_row_dots_are_vector_dots(self, n):
+        for rows in self._row_views(n):
+            want = np.array([row.dot(row) for row in rows])
+            assert solver_module._row_dots(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 13, 127, 129, 300, 515])
+    def test_row_sums_are_vector_sums(self, n):
+        for rows in self._row_views(n):
+            want = np.array([np.add.reduce(row) for row in rows])
+            assert np.add.reduce(rows, axis=1).tobytes() == want.tobytes()
+
 
 class TestNullspaceWeights:
     def test_reference_update_with_exact_tie(self):
@@ -510,3 +607,19 @@ class TestSolve:
         report = solve(ex1_phi, ex1_b, Identity(), SolverConfig(inner_cap=1))
         assert not report.converged
         assert any(not s.converged for s in report.stages)
+
+    def test_stage_seconds_and_step_bound(self, ex1_phi, ex1_b):
+        report = solve(ex1_phi, ex1_b, NullspaceGuided())
+        seconds = [s.seconds for s in report.stages]
+        assert all(t > 0.0 for t in seconds)
+        assert sum(seconds) <= report.total_seconds
+        assert report.step_bound == 1.000001 * largest_gram_eigenvalue(ex1_phi)
+        assert solve(np.zeros((2, 3)), np.ones(2), Identity()).step_bound == 1.0
+
+    def test_fixed_weight_count_checked_before_the_step_bound(self, ex1_phi, ex1_b, monkeypatch):
+        def step_bound(phi):
+            raise AssertionError("the step bound was computed")
+
+        monkeypatch.setattr(solver_module, "largest_gram_eigenvalue", step_bound)
+        with pytest.raises(ValueError, match="fixed weights have 2 entries, expected 3"):
+            solve(ex1_phi, ex1_b, Fixed(np.array([1.0, 1.0])))
