@@ -110,6 +110,7 @@ def _report_payload(report: solver.SolveReport) -> dict:
         "converged": report.converged,
         "total_seconds": report.total_seconds,
         "step_bound": report.step_bound,
+        "step_bound_seconds": report.step_bound_seconds,
         "objective_history": report.objective_history,
         "stages": [asdict(s) for s in report.stages],
     }

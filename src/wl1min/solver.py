@@ -178,6 +178,7 @@ class SolveReport:
     objective_history: list[list[float]]
     total_seconds: float
     step_bound: float  # the ISTA step bound L every stage used
+    step_bound_seconds: float  # wall time of the largest_gram_eigenvalue call
 
     @property
     def converged(self) -> bool:
@@ -267,7 +268,11 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     The loop runs in blocks of ``_BLOCK`` iterations that only take the
     proximal steps; the step norms, objectives and stop tests of a block
     follow in batched calls, and the first stopping iteration decides the
-    result.  Every float is the one the plain per-iteration expressions give.
+    result.  Inside the loop the shrink is ``v - clip(v, -t, t)``, three
+    ufunc calls, which gives ``soft_threshold``'s floats up to the sign of a
+    zero; the returned iterate is rebuilt once with ``soft_threshold``'s
+    formula, so every float reported, signed zeros included, is the one the
+    plain per-iteration expressions give.
     """
     phi, b = as_system(phi, b)
     phi = _aligned(phi)
@@ -289,16 +294,25 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     # Row t of xs and rs holds the iterate x_t of the block and its residual
     # phi x_t - b; row 0 carries the last ones of the block before.
     xs, rs = _aligned_rows(_BLOCK + 1, n), _aligned_rows(_BLOCK + 1, m)
-    g, sgn, mag = _aligned_rows(3, n)
+    g, c = _aligned_rows(2, n)
     xs[0] = x_init
     thresholds = (mu / L) * weights
+    # The loop shrinks by ``v - clip(v, -t, t)``: ``v - t`` above the dead
+    # zone and ``v + t == -fl(|v| - t)`` below it, the floats of
+    # ``sign(v) * max(|v| - t, 0)``.  Inside it gives +0.0 where that gives
+    # -0.0 for v < 0 (v == -t included).  No reported number sees the sign
+    # of a zero: step norms and r.r square it, the objective takes abs, a
+    # zero factor adds +-0 to a BLAS sum, and a v that comes out +-0 lands in
+    # the dead zone either way.  Only the returned iterate carries the sign,
+    # so it alone is rebuilt, from the row before it, by the sign-max formula.
+    lower = -thresholds
     # The residual of each iterate serves both its objective and the next gradient.
     np.subtract(phi @ xs[0], b, out=rs[0])
     objectives = [0.5 * float(rs[0] @ rs[0]) + mu * float(np.sum(weights * np.abs(xs[0])))]
-    # The block computes ``soft_threshold(x - phi.T r / L, thresholds)`` and
-    # its residual in preallocated rows.  ``ndarray.dot`` makes ``@``'s BLAS
-    # call on a C- or F-ordered matrix at less overhead; other layouts keep
-    # ``@``.  After the block, a norm is ``sqrt(x . x)`` as in
+    # The block computes ``v = x - phi.T r / L``, its shrink and its residual
+    # in preallocated rows.  ``ndarray.dot`` makes ``@``'s BLAS call on a C-
+    # or F-ordered matrix at less overhead; other layouts keep ``@``.  After
+    # the block, a norm is ``sqrt(x . x)`` as in
     # np.linalg.norm, through ``_row_dots``; ``np.add.reduce(axis=1)`` sums
     # each row pairwise as ``np.sum`` sums a vector; and the objectives and
     # stop tests are elementwise the scalar expressions.
@@ -314,11 +328,9 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
             adj(r, out=g)
             g /= L
             np.subtract(x, g, out=g)
-            np.sign(g, out=sgn)
-            np.abs(g, out=mag)
-            mag -= thresholds
-            np.maximum(mag, 0.0, out=mag)
-            np.multiply(sgn, mag, out=x_next)
+            np.maximum(g, lower, out=c)
+            np.minimum(c, thresholds, out=c)
+            np.subtract(g, c, out=x_next)
             fwd(x_next, out=r_next)
             r_next -= b
         step = np.sqrt(_row_dots(xs[1 : k + 1] - xs[:k]))
@@ -330,7 +342,11 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
         if stops.size or done + k == cap:
             t = int(stops[0]) + 1 if stops.size else k
             objectives += objective[:t].tolist()
-            return xs[t].copy(), InnerResult(done + t, float(step[t - 1]), bool(stops.size), objectives)
+            adj(rs[t - 1], out=g)
+            g /= L
+            np.subtract(xs[t - 1], g, out=g)
+            x = np.sign(g) * np.maximum(np.abs(g) - thresholds, 0.0)
+            return x, InnerResult(done + t, float(step[t - 1]), bool(stops.size), objectives)
         objectives += objective.tolist()
         done += k
         xs[0], rs[0] = xs[k], rs[k]
@@ -397,6 +413,7 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
 
     t_start = time.perf_counter()
     L = _L_INFLATION * largest_gram_eigenvalue(phi)
+    step_bound_seconds = time.perf_counter() - t_start
     if L == 0.0:
         L = 1.0  # zero matrix: gradient vanishes, any positive step bound works
     mus = mu_schedule(phi, b, config.stages, config.mu_decay)
@@ -444,4 +461,5 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
         objective_history=objective_history,
         total_seconds=time.perf_counter() - t_start,
         step_bound=L,
+        step_bound_seconds=step_bound_seconds,
     )

@@ -49,8 +49,8 @@ class TestSolveCommand:
         assert len(payload["stages"]) == 8
         assert payload["stages"][0]["stage"] == 1
         assert list(payload) == [
-            "x", "converged", "total_seconds", "step_bound", "objective_history", "stages",
-            "residual",
+            "x", "converged", "total_seconds", "step_bound", "step_bound_seconds",
+            "objective_history", "stages", "residual",
         ]
         assert list(payload["stages"][0]) == [
             "stage", "mu", "inner_iterations", "final_step_norm", "converged",

@@ -384,6 +384,34 @@ class TestIstaBlocks:
         assert inner.iterations == 1 and inner.final_step_norm == 0.0 and inner.converged
 
 
+class TestSignedZeroPins:
+    """Dyadic stages whose answers carry a signed zero, against the reference."""
+
+    @staticmethod
+    def _stage(phi, b, mu, L):
+        phi, b = np.array(phi), np.array(b)
+        problem = (phi, b, np.ones(phi.shape[1]), mu, L, np.zeros(phi.shape[1]), 0.0, 10)
+        x, inner = ista_stage(*problem)
+        want_x, iters, step, converged, objectives = _reference_ista_loop(*problem)
+        assert x.tobytes() == want_x.tobytes()
+        assert (inner.iterations, inner.final_step_norm, inner.converged) == (iters, step, converged)
+        assert inner.objectives == objectives
+        return x
+
+    def test_gradient_step_on_the_lower_threshold_gives_negative_zero(self):
+        # v = -0.5 == -t exactly, so sign(v) * max(|v| - t, 0) is -0.0.
+        x = self._stage([[1.0]], [-0.5], 0.5, 1.0)
+        assert x[0] == 0.0 and np.signbit(x[0])
+
+    def test_gradient_step_on_the_upper_threshold_gives_positive_zero(self):
+        x = self._stage([[1.0]], [0.5], 0.5, 1.0)
+        assert x[0] == 0.0 and not np.signbit(x[0])
+
+    def test_negative_zero_beside_a_shrunk_entry(self):
+        x = self._stage([[2.0, 0.0], [0.0, 1.0]], [-1.0, -0.25], 0.25, 4.0)
+        assert x.tolist() == [-0.4375, 0.0] and np.signbit(x).tolist() == [True, True]
+
+
 class TestBatchedRowInvariants:
     """The batched calls after a block give each row the bits of the 1-d call."""
 
@@ -613,6 +641,8 @@ class TestSolve:
         seconds = [s.seconds for s in report.stages]
         assert all(t > 0.0 for t in seconds)
         assert sum(seconds) <= report.total_seconds
+        assert report.step_bound_seconds > 0.0
+        assert report.step_bound_seconds + sum(seconds) <= report.total_seconds
         assert report.step_bound == 1.000001 * largest_gram_eigenvalue(ex1_phi)
         assert solve(np.zeros((2, 3)), np.ones(2), Identity()).step_bound == 1.0
 
