@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,12 +81,14 @@ class VertexSet:
     negation.  ``zero_sets`` counts the zero patterns solved, recursion
     included, and ``degenerate_sets`` those of them that met the subspace in
     dimension above one, handled by forcing additional zeros recursively.
+    ``dedupe_seconds`` is the wall time of merging near-equal candidates.
     The read-only ``had_degenerate_zero_set`` is ``degenerate_sets > 0``.
     """
 
     vertices: np.ndarray
     zero_sets: int = 0
     degenerate_sets: int = 0
+    dedupe_seconds: float = 0.0
 
     @property
     def had_degenerate_zero_set(self) -> bool:
@@ -322,8 +325,10 @@ def l1ball_section_vertices(basis, *, max_zero_sets: int = 10**6) -> VertexSet:
     while block := list(itertools.islice(combos, _CHUNK)):
         solve(np.array(block, dtype=np.intp).reshape(len(block), d - 1))
 
+    t_dedupe = time.perf_counter()
     half = _dedupe(np.concatenate(pieces))
-    return VertexSet(np.vstack([half, -half]), zero_sets, degenerate_sets)
+    dedupe_seconds = time.perf_counter() - t_dedupe
+    return VertexSet(np.vstack([half, -half]), zero_sets, degenerate_sets, dedupe_seconds)
 
 
 def _validate_order(phi: np.ndarray, k: int) -> int:

@@ -157,6 +157,7 @@ class InnerResult:
     final_step_norm: float
     converged: bool
     objectives: list[float]
+    computed: int  # iterations run, those past the first stop included
 
 
 @dataclass
@@ -164,6 +165,7 @@ class StageDiagnostics:
     stage: int
     mu: float
     inner_iterations: int
+    computed_iterations: int  # InnerResult.computed
     final_step_norm: float
     converged: bool
     support_size: int
@@ -239,11 +241,20 @@ def mu_schedule(phi, b, stages: int, decay: float) -> np.ndarray:
     return scale * decay ** np.arange(stages)
 
 
-# Iterations per block of the ISTA loop.  The step norms, objectives and stop
-# tests of a block are computed by a few batched calls after it, and the
-# iterations a block runs past its first stop are discarded; 16 keeps that
-# waste near 2-3% of the iterations (BENCH_blocked_ista.json).
+# Iterations in a stage's first block of the ISTA loop.  The step norms,
+# objectives and stop tests of a block are computed by a few batched calls
+# after it, and the iterations a block runs past its first stop are discarded.
+# Later blocks run up to ``_ring_rows(n)`` iterations, sized by a prediction of
+# the stop, which keeps that waste near 2-3% of the iterations
+# (BENCH_lean_ista.json).
 _BLOCK = 16
+
+
+def _ring_rows(n: int) -> int:
+    """The longest block for iterates of length ``n``: at most 64 KiB of them,
+    and ``_BLOCK`` from ``n = 512`` on, where longer blocks measured slower
+    because they leave the cache."""
+    return max(_BLOCK, min(4 * _BLOCK, 8192 // n))
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -265,14 +276,21 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     is identical, so the stage is stationary even when ``eta == 0``.  Inputs
     are validated once here, so the loop shrinks without re-checking them.
 
-    The loop runs in blocks of ``_BLOCK`` iterations that only take the
-    proximal steps; the step norms, objectives and stop tests of a block
-    follow in batched calls, and the first stopping iteration decides the
-    result.  Inside the loop the shrink is ``v - clip(v, -t, t)``, three
-    ufunc calls, which gives ``soft_threshold``'s floats up to the sign of a
-    zero; the returned iterate is rebuilt once with ``soft_threshold``'s
-    formula, so every float reported, signed zeros included, is the one the
-    plain per-iteration expressions give.
+    The loop runs in blocks that only take the proximal steps; the step
+    norms, objectives and stop tests of a block follow in batched calls, and
+    the first stopping iteration decides the result.  The first block runs
+    ``_BLOCK`` iterations.  Where the ring buffers hold more rows
+    (``_ring_rows``), a later block runs the iterations that the decay of
+    ``q_t = step_t / (eta * max(1, ||x_{t-1}||))`` across the block before
+    predicts until ``q`` drops below 1, clamped to between ``_BLOCK`` and the
+    buffer length, and the buffer length where ``q`` did not fall.  A block
+    length decides only how many iterations are computed past the stop and
+    discarded (``InnerResult.computed``), never what is reported.  Inside
+    the loop the shrink is ``v - clip(v, -t, t)``, three ufunc calls, which
+    gives ``soft_threshold``'s floats up to the sign of a zero; the returned
+    iterate is rebuilt once with ``soft_threshold``'s formula, so every float
+    reported, signed zeros included, is the one the plain per-iteration
+    expressions give.
     """
     phi, b = as_system(phi, b)
     phi = _aligned(phi)
@@ -293,7 +311,8 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
 
     # Row t of xs and rs holds the iterate x_t of the block and its residual
     # phi x_t - b; row 0 carries the last ones of the block before.
-    xs, rs = _aligned_rows(_BLOCK + 1, n), _aligned_rows(_BLOCK + 1, m)
+    rows = _ring_rows(n)
+    xs, rs = _aligned_rows(rows + 1, n), _aligned_rows(rows + 1, m)
     g, c = _aligned_rows(2, n)
     xs[0] = x_init
     thresholds = (mu / L) * weights
@@ -311,45 +330,65 @@ def ista_stage(phi, b, weights, mu, L, x_init, eta, cap: int):
     objectives = [0.5 * float(rs[0] @ rs[0]) + mu * float(np.sum(weights * np.abs(xs[0])))]
     # The block computes ``v = x - phi.T r / L``, its shrink and its residual
     # in preallocated rows.  ``ndarray.dot`` makes ``@``'s BLAS call on a C-
-    # or F-ordered matrix at less overhead; other layouts keep ``@``.  After
-    # the block, a norm is ``sqrt(x . x)`` as in
-    # np.linalg.norm, through ``_row_dots``; ``np.add.reduce(axis=1)`` sums
-    # each row pairwise as ``np.sum`` sums a vector; and the objectives and
-    # stop tests are elementwise the scalar expressions.
+    # or F-ordered matrix at less overhead; other layouts keep ``@``.  The
+    # calls are bound to local names and take ``out`` by position (numpy
+    # deprecates that for maximum and minimum), and L is divided as a 0-d
+    # array, which spares a scalar conversion per call; the operations and
+    # operands are those of ``g = adj(r); g /= L; ...; r_next -= b``.  After
+    # the block, a norm is ``sqrt(x . x)`` as in np.linalg.norm, through
+    # ``_row_dots``; ``np.add.reduce(axis=1)`` sums each row pairwise as
+    # ``np.sum`` sums a vector; and the objectives and stop tests are
+    # elementwise the scalar expressions.
     if phi.flags.c_contiguous or phi.flags.f_contiguous:
         fwd, adj = phi.dot, phi.T.dot
     else:
         fwd, adj = functools.partial(np.matmul, phi), functools.partial(np.matmul, phi.T)
-    rows = list(zip(xs[:-1], rs[:-1], xs[1:], rs[1:]))
-    done = 0
+    subtract, divide, maximum, minimum = np.subtract, np.divide, np.maximum, np.minimum
+    L_array = np.array(L)
+    views: list = []  # (x, r, x_next, r_next) row views, built as far as a block needs
+    done, k = 0, _BLOCK
     while True:
-        k = min(_BLOCK, cap - done)
-        for x, r, x_next, r_next in rows[:k]:
-            adj(r, out=g)
-            g /= L
-            np.subtract(x, g, out=g)
-            np.maximum(g, lower, out=c)
-            np.minimum(c, thresholds, out=c)
-            np.subtract(g, c, out=x_next)
-            fwd(x_next, out=r_next)
-            r_next -= b
+        k = min(k, cap - done)
+        if k > len(views):
+            views = list(zip(xs[:k], rs[:k], xs[1 : k + 1], rs[1 : k + 1]))
+        for x, r, x_next, r_next in views[:k]:
+            adj(r, g)
+            divide(g, L_array, g)
+            subtract(x, g, g)
+            maximum(g, lower, out=c)
+            minimum(c, thresholds, out=c)
+            subtract(g, c, x_next)
+            fwd(x_next, r_next)
+            subtract(r_next, b, r_next)
         step = np.sqrt(_row_dots(xs[1 : k + 1] - xs[:k]))
         norm = np.sqrt(_row_dots(xs[:k]))
         objective = 0.5 * _row_dots(rs[1 : k + 1]) + mu * np.add.reduce(
             weights * np.abs(xs[1 : k + 1]), axis=1)
         # fmax, like the builtin max, takes 1 over a NaN norm.
-        stops = np.flatnonzero((step < eta * np.fmax(1.0, norm)) | (step == 0.0))
+        limit = eta * np.fmax(1.0, norm)
+        stops = np.flatnonzero((step < limit) | (step == 0.0))
         if stops.size or done + k == cap:
             t = int(stops[0]) + 1 if stops.size else k
             objectives += objective[:t].tolist()
-            adj(rs[t - 1], out=g)
-            g /= L
-            np.subtract(xs[t - 1], g, out=g)
+            adj(rs[t - 1], g)
+            divide(g, L_array, g)
+            subtract(xs[t - 1], g, g)
             x = np.sign(g) * np.maximum(np.abs(g) - thresholds, 0.0)
-            return x, InnerResult(done + t, float(step[t - 1]), bool(stops.size), objectives)
+            return x, InnerResult(
+                done + t, float(step[t - 1]), bool(stops.size), objectives, done + k)
         objectives += objective.tolist()
         done += k
         xs[0], rs[0] = xs[k], rs[k]
+        if rows > _BLOCK and eta > 0.0:
+            # Without a stop, q = step / limit is at least 1 (or NaN) on
+            # every row; a q that fell across the block is extrapolated at
+            # its mean rate per iteration to where it drops below 1.
+            q_first, q_last = float(step[0]) / float(limit[0]), float(step[-1]) / float(limit[-1])
+            decay = math.log(q_first / q_last) if 0.0 < q_last < q_first < math.inf else 0.0
+            left = math.log(q_last) * (k - 1) / decay if decay > 0.0 else math.inf
+            k = max(_BLOCK, math.ceil(left)) if left < rows else rows
+        else:
+            k = rows
 
 
 def update_weights_nullspace(x_prev, x_curr, scheme: NullspaceGuided) -> np.ndarray:
@@ -439,6 +478,7 @@ def solve(phi, b, scheme: WeightScheme, config: SolverConfig | None = None) -> S
                 stage=tau,
                 mu=float(mu),
                 inner_iterations=inner.iterations,
+                computed_iterations=inner.computed,
                 final_step_norm=inner.final_step_norm,
                 converged=inner.converged,
                 support_size=int(np.count_nonzero(x)),

@@ -87,6 +87,12 @@ class TestVertexEnumeration:
     def test_empty_basis_gives_empty_set(self):
         vs = l1ball_section_vertices(kernel_basis(np.eye(3)))
         assert vs.vertices.shape[0] == 0
+        assert vs.dedupe_seconds == 0.0
+
+    def test_dedupe_seconds(self, ex2_phi):
+        vs = l1ball_section_vertices(kernel_basis(ex2_phi))
+        assert vs.dedupe_seconds >= 0.0
+        assert isinstance(vs.dedupe_seconds, float)
 
     def test_random_line_kernels(self):
         rng = np.random.default_rng(17)

@@ -53,8 +53,8 @@ class TestSolveCommand:
             "objective_history", "stages", "residual",
         ]
         assert list(payload["stages"][0]) == [
-            "stage", "mu", "inner_iterations", "final_step_norm", "converged",
-            "support_size", "weights", "seconds",
+            "stage", "mu", "inner_iterations", "computed_iterations", "final_step_norm",
+            "converged", "support_size", "weights", "seconds",
         ]
 
     def test_out_file(self, ex1_paths, tmp_path, capsys):

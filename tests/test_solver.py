@@ -433,6 +433,98 @@ class TestBatchedRowInvariants:
             assert np.add.reduce(rows, axis=1).tobytes() == want.tobytes()
 
 
+_ROWS = solver_module._ring_rows(16)
+
+
+class TestPredictedBlocks:
+    """Blocks longer than ``_BLOCK``, sized by a prediction of the stop,
+    against the reference; ``computed`` counts the discarded iterations."""
+
+    @staticmethod
+    def _compare(problem, eta, cap):
+        inner = TestIstaBlocks._compare(problem, eta, cap)
+        n = problem[0].shape[1]
+        assert inner.iterations <= inner.computed < inner.iterations + solver_module._ring_rows(n)
+        return inner
+
+    def test_ring_rows(self):
+        assert _ROWS == solver_module._ring_rows(128) == 4 * _K
+        assert solver_module._ring_rows(129) == 63
+        assert solver_module._ring_rows(512) == solver_module._ring_rows(600) == _K
+
+    @pytest.mark.parametrize("stop", [1, _K - 1, _K + 1, _ROWS - 1, _ROWS, _ROWS + 1, 80, 129])
+    def test_stop_around_a_long_block(self, stop):
+        problem = _block_problem()
+        inner = self._compare(problem, _eta_stopping_at(problem, stop), 10 * _ROWS)
+        assert inner.iterations == stop and inner.converged
+
+    @pytest.mark.parametrize("cap", [1, _K - 1, _K + 1, _ROWS - 1, _ROWS, _ROWS + 1, 80, 129])
+    def test_cap_around_a_long_block(self, cap):
+        # eta = 0 makes q infinite, so every block after the first is a long one.
+        inner = self._compare(_block_problem(), 0.0, cap)
+        assert inner.iterations == inner.computed == cap and not inner.converged
+
+    @staticmethod
+    def _shrinking_problem(mu_factor, scale):
+        """The block problem started at ``scale * ones`` with ``mu`` at
+        ``mu_factor * max|phi_j^T b|``, and its first ratios ``q * eta``."""
+        phi, b, w, _, L, _ = _block_problem()
+        problem = (phi, b, w, mu_factor * float(np.abs(phi.T @ b).max()), L, scale * np.ones(16))
+        x, ratios = problem[-1], []
+        for _ in range(_K + _ROWS):
+            x_next, _, step, _, _ = _reference_ista_loop(*problem[:-1], x, 0.0, 1)
+            ratios.append(step / max(1.0, float(np.linalg.norm(x))))
+            x = x_next
+        return problem, ratios
+
+    def test_ratio_rising_inside_a_block(self):
+        # ||x|| shrinks faster than the step for a while after the first
+        # block, so q rises inside the second and falls again later.
+        problem, ratios = self._shrinking_problem(1.0, 3.0)
+        assert ratios[_K] < ratios[_K + 10] and ratios[_K + _ROWS - 1] < ratios[_K]
+        inner = self._compare(problem, _eta_stopping_at(problem, 100), 10 * _ROWS)
+        assert inner.iterations == 100 and inner.converged
+
+    def test_ratio_rising_across_a_block(self):
+        # q falls by 27x over the first block, which predicts more than a
+        # long block at eta = 1e-12, and then rises across the second one.
+        problem, ratios = self._shrinking_problem(2.0, 20.0)
+        assert ratios[_K - 1] < ratios[0] / 20 and ratios[_K] < ratios[_K + _ROWS - 1]
+        inner = self._compare(problem, 1e-12, 10 * _ROWS)
+        assert inner.converged and inner.iterations > _K + _ROWS
+
+    def test_exact_repeat_with_eta_zero(self):
+        # 0 is optimal at mu = 2 max|phi_j^T b|: the step reaches exactly 0
+        # after some long blocks, with q infinite throughout.
+        phi, b, w, _, L, _ = _block_problem()
+        problem = (phi, b, w, 2.0 * float(np.abs(phi.T @ b).max()), L, 3.0 * np.ones(16))
+        inner = self._compare(problem, 0.0, 10 * _ROWS)
+        assert inner.final_step_norm == 0.0 and inner.converged and inner.iterations > _K
+
+    @pytest.mark.parametrize("shape", [(128, 512), (48, 600)])
+    def test_blocks_stay_short_from_512_columns(self, shape):
+        rng = np.random.default_rng(shape[1])
+        phi = rng.standard_normal(shape)
+        b = phi[:, :8] @ rng.standard_normal(8)
+        w = rng.uniform(0.5, 1.0, shape[1])
+        mu = 0.05 * float(np.abs(phi.T @ b).max())
+        problem = (phi, b, w, mu, 1.000001 * largest_gram_eigenvalue(phi), np.ones(shape[1]))
+        inner = self._compare(problem, 1e-6 * mu, 2000)
+        assert inner.iterations > 2 * _K and inner.computed - inner.iterations < _K
+
+    @pytest.mark.parametrize("scheme", [Identity(), Classic(), NullspaceGuided()])
+    def test_every_stage_discards_less_than_a_block(self, scheme):
+        rng = np.random.default_rng(47)
+        phi = rng.standard_normal((32, 128))
+        x0 = np.zeros(128)
+        x0[rng.permutation(128)[:5]] = rng.standard_normal(5)
+        report = solve(phi, phi @ x0, scheme)
+        for stage in report.stages:
+            assert 0 <= stage.computed_iterations - stage.inner_iterations < _ROWS
+        assert sum(s.computed_iterations for s in report.stages) > sum(
+            s.inner_iterations for s in report.stages)
+
+
 class TestNullspaceWeights:
     def test_reference_update_with_exact_tie(self):
         # h = (0.1, -0.1, 0.2): the two 0.1 magnitudes tie bitwise and the
